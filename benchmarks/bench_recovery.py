@@ -1,38 +1,33 @@
 """Recovery-time characterization: reopening a crashed store vs its size.
 
-Startup recovery scans every spool file (CRC verification), replays the
-journal tail, and quarantines bit rot — so it is O(entries).  This script
-measures that cost at 1k/10k/50k entries, with a journal tail to replay
-and a pinch of injected damage (one torn tail, one corrupt region) so the
-run exercises every recovery path, not just the happy scan.
-
-Both backends are measured: the **spool** (one file per credential) and
-the **segments** engine, whose crashed store gets a torn active-segment
-tail (truncated as unacked), a missing active sidecar (the crash beat the
-clean close), and one bit-rotted sealed segment (its sidecar CRC check
-fails, forcing the full scan that quarantines the damage).
+This script measures the segment store's startup recovery at
+1k/10k/50k entries, on a store as a crash would leave it: a torn
+active-segment tail (truncated as unacked), a missing active sidecar (the
+crash beat the clean close), and one bit-rotted sealed segment (its
+sidecar CRC check fails, forcing the full scan that quarantines the
+damage) — so the run exercises every recovery path, not just the happy
+load.  The one-file-per-credential spool it was first compared against
+is gone; its historical numbers stay in EXPERIMENTS.md.
 
 Run directly (it is a script, not a pytest-benchmark module)::
 
     PYTHONPATH=src python benchmarks/bench_recovery.py
     PYTHONPATH=src python benchmarks/bench_recovery.py --smoke   # CI: 1k only
 
-Expected shape: linear in the entry count for the spool; for segments,
-linear only in the damaged segment's records (everything intact loads
-from sidecar indexes).
+Expected shape: linear only in the damaged segment's records (everything
+intact loads from sidecar indexes).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
-from repro.core.journal import OP_PUT, encode_frame
-from repro.core.repository import JOURNAL_FILE, FileRepository, RepositoryEntry
+from repro.core.journal import encode_frame
+from repro.core.repository import RepositoryEntry
 from repro.core.segments import SegmentRepository, _sidecar_path
 
 
@@ -50,37 +45,6 @@ def _entry(i: int) -> RepositoryEntry:
         created_at=0.0,
         not_after=1e12,
     )
-
-
-def build_crashed_spool(root: Path, entries: int, pending_ops: int = 10) -> None:
-    """Lay down a spool as a crash would leave it — no FileRepository, no
-    fsyncs, so 50k entries build in seconds."""
-    root.mkdir(parents=True)
-    for i in range(entries):
-        entry = _entry(i)
-        path = root / FileRepository._filename(entry.username, entry.cred_name)
-        path.write_bytes(encode_frame(entry.to_json().encode("utf-8")))
-
-    # a journal tail of uncommitted ops (recovery must redo these) ...
-    frames = []
-    for txid in range(pending_ops):
-        entry = _entry(entries + txid)
-        frames.append(encode_frame(json.dumps({
-            "txid": txid,
-            "op": OP_PUT,
-            "username": entry.username,
-            "cred_name": entry.cred_name,
-            "document": entry.to_json(),
-        }, sort_keys=True).encode("utf-8")))
-    # ... plus a torn final record (recovery must truncate it)
-    torn = encode_frame(b'{"half": "a record')[: 20]
-    (root / JOURNAL_FILE).write_bytes(b"".join(frames) + torn)
-
-    # and one bit-rotted entry (recovery must quarantine it)
-    victim = root / FileRepository._filename("user000000", "default")
-    raw = bytearray(victim.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    victim.write_bytes(bytes(raw))
 
 
 def build_crashed_segments(root: Path, entries: int) -> None:
@@ -101,21 +65,16 @@ def build_crashed_segments(root: Path, entries: int) -> None:
     victim.write_bytes(bytes(raw))
 
 
-def measure(entries: int, repeats: int, backend: str = "spool") -> dict:
+def measure(entries: int, repeats: int) -> dict:
     samples = []
     recovered = quarantined = torn = 0
     for _ in range(repeats):
         workdir = Path(tempfile.mkdtemp(prefix="bench-recovery-"))
         try:
-            store = workdir / backend
-            if backend == "spool":
-                build_crashed_spool(store, entries)
-                opener = FileRepository
-            else:
-                build_crashed_segments(store, entries)
-                opener = SegmentRepository
+            store = workdir / "segments"
+            build_crashed_segments(store, entries)
             start = time.perf_counter()
-            repo = opener(store)
+            repo = SegmentRepository(store)
             samples.append(time.perf_counter() - start)
             snap = repo.stats.snapshot()
             recovered = snap["records_recovered"]
@@ -126,7 +85,7 @@ def measure(entries: int, repeats: int, backend: str = "spool") -> dict:
             shutil.rmtree(workdir, ignore_errors=True)
     best = min(samples)
     return {
-        "backend": backend,
+        "backend": "segments",
         "entries": entries,
         "best_seconds": best,
         "entries_per_second": entries / best if best else float("inf"),
@@ -155,22 +114,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'backend':>8}  {'entries':>8}  {'recovery':>10}  {'entries/s':>10}  "
           f"{'replayed':>8}  {'quarantined':>11}")
     for size in sizes:
-        for backend in ("spool", "segments"):
-            result = measure(size, repeats, backend)
-            results.append(result)
-            print(f"{result['backend']:>8}  {result['entries']:>8}  "
-                  f"{result['best_seconds']:>9.3f}s  "
-                  f"{result['entries_per_second']:>10.0f}  "
-                  f"{result['records_recovered']:>8}  {result['quarantined']:>11}")
-            # recovery must actually have exercised its paths
-            if backend == "spool":
-                assert result["records_recovered"] >= 10, \
-                    "journal tail was not replayed"
-                assert result["quarantined"] == 1, "bit rot was not quarantined"
-            else:
-                assert result["quarantined"] >= 1, "bit rot was not quarantined"
-                assert result["torn_truncated"] >= 1, \
-                    "torn segment tail was not truncated"
+        result = measure(size, repeats)
+        results.append(result)
+        print(f"{result['backend']:>8}  {result['entries']:>8}  "
+              f"{result['best_seconds']:>9.3f}s  "
+              f"{result['entries_per_second']:>10.0f}  "
+              f"{result['records_recovered']:>8}  {result['quarantined']:>11}")
+        # recovery must actually have exercised its paths
+        assert result["quarantined"] >= 1, "bit rot was not quarantined"
+        assert result["torn_truncated"] >= 1, "torn segment tail was not truncated"
 
     if args.out:
         from benchmarks.common import emit_closed_loop_report

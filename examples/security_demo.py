@@ -114,7 +114,7 @@ def main() -> None:
         print(f"4. fake repository    : {outcome}")
         print(f"   pass phrases harvested by the fake: {fake.server.stats.gets}")
 
-        # ---- 5. raiding the repository spool --------------------------------------
+        # ---- 5. raiding the repository store --------------------------------------
         loot = loot_repository(
             tb.myproxy.repository,
             dictionary=["password", "grid", "letmein", "dragon", "123456"],

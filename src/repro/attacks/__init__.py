@@ -14,7 +14,7 @@ actually obtains, so the §5 claims become assertions:
   credentials from an untrusted CA (§5.1 "prevents an attacker from
   impersonating the repository").
 - :mod:`repro.attacks.compromise` — host compromises: what an intruder
-  reads off a repository's spool directory, and what a compromised portal
+  reads off a repository's storage directory, and what a compromised portal
   holds before/after user logins (§5.1).
 """
 

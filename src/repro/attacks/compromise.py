@@ -5,7 +5,7 @@ Two compromises the paper analyses:
 - **repository host** — "even if the repository host is compromised, an
   intruder would still need to decrypt the keys individually or wait until
   a portal connects".  :func:`loot_repository` plays that intruder: it
-  reads every entry in the spool, attempts to load each private key with
+  reads every entry in the store, attempts to load each private key with
   no pass phrase, then runs a dictionary attack.
 - **portal host** — "this risk is minimized by the fact the MyProxy server
   requires the user authentication information in addition to the
@@ -40,7 +40,7 @@ class CrackedEntry:
 
 @dataclass
 class RepositoryLoot:
-    """What an intruder extracted from a stolen repository spool."""
+    """What an intruder extracted from a stolen repository store."""
 
     entries_seen: int = 0
     certificates_read: int = 0  # public material — always readable

@@ -1,6 +1,6 @@
 """``myproxy-admin`` — on-host repository administration.
 
-Operates directly on a repository spool directory (the admin is on the
+Operates directly on a repository's segment store (the admin is on the
 repository host, like the original ``myproxy-admin-query`` /
 ``myproxy-admin-purge`` tools); the server need not be running.
 """
@@ -11,16 +11,18 @@ import argparse
 
 from repro.cli.common import run_tool
 from repro.core.admin import RepositoryAdmin
-from repro.core.sqlrepository import open_repository
+from repro.core.segments import detect_backend, open_repository
 from repro.util.logging import configure_cli_logging
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="myproxy-admin", description="Administer a MyProxy spool directory."
+        prog="myproxy-admin", description="Administer a MyProxy credential store."
     )
     parser.add_argument("--storage-dir", default=None, metavar="DIR",
-                        help="spool directory or .db file (required except for 'audit')")
+                        help="segment store directory, or a legacy spool "
+                             "directory or .db file to migrate "
+                             "(required except for 'audit')")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -56,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scrub = sub.add_parser(
         "scrub",
-        help="check every spool entry; list or discard quarantined ones",
+        help="check every stored entry; list or discard quarantined ones",
     )
     scrub.add_argument("--list", action="store_true", dest="list_only",
                        help="only list quarantined entries (default action)")
@@ -64,9 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="permanently delete quarantined files "
                             "(use after the entries were re-stored or repaired)")
 
+    sub.add_parser(
+        "compact",
+        help="seal the active segment and compact now, zeroizing every "
+             "dead record (destroyed or replaced credentials)",
+    )
+
     migrate = sub.add_parser(
         "migrate",
-        help="convert a spool directory to the packed segments backend in place",
+        help="convert a legacy spool directory (in place) or .db file "
+             "(into a directory beside it) to a segment store",
     )
     migrate.add_argument("--keep-spool", action="store_true",
                          help="leave the old per-credential files behind "
@@ -206,29 +215,35 @@ def main(argv: list[str] | None = None) -> int:
             count = admin.remove_user(args.username)
             print(f"removed {count} credential(s) for {args.username}")
         elif args.command == "migrate":
-            from repro.core.segments import migrate_spool_to_segments
+            from repro.core import migration
 
-            result = migrate_spool_to_segments(
-                args.storage_dir,
-                keep_spool=args.keep_spool,
-                segment_max_bytes=args.segment_max_bytes,
-            )
+            if detect_backend(args.storage_dir) == "sqlite":
+                result = migration.migrate_sqlite_to_segments(
+                    args.storage_dir, segment_max_bytes=args.segment_max_bytes
+                )
+                note = (f" in {result['target']} (the database is left as "
+                        f"it was; point --storage-dir there)")
+            else:
+                result = migration.migrate_spool_to_segments(
+                    args.storage_dir,
+                    keep_spool=args.keep_spool,
+                    segment_max_bytes=args.segment_max_bytes,
+                )
+                note = (" (spool files kept)" if args.keep_spool
+                        else " (spool files zeroized and removed)")
             if not result["migrated"]:
                 print(f"nothing to do: {result['reason']}")
             else:
-                print(
-                    f"migrated {result['entries']} credential(s) to the "
-                    f"segments backend"
-                    + (" (spool files kept)" if args.keep_spool
-                       else " (spool files zeroized and removed)")
-                )
+                print(f"migrated {result['entries']} credential(s) to a "
+                      f"segment store{note}")
+        elif args.command == "compact":
+            repo = admin.repository
+            dead = sum(seg["dead_bytes"] for seg in repo.segment_info())
+            repo.compact()
+            repo.close()
+            print(f"compacted: {dead} byte(s) of dead records zeroized")
         elif args.command == "scrub":
             repo = admin.repository
-            if not hasattr(repo, "quarantined"):
-                raise SystemExit(
-                    "scrub needs a spool or segments directory, "
-                    f"not {type(repo).__name__}"
-                )
             # Opening the repository already ran recovery; this re-checks
             # every entry now and reports what sits in quarantine.
             summary = repo.scrub()

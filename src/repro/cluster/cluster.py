@@ -755,7 +755,7 @@ class MyProxyCluster:
         Startup recovery never deletes a corrupt entry — it quarantines
         it.  This pass closes the loop: for every quarantined credential,
         re-fetch the canonical entry from a live peer in the user's
-        preference list and write it back to the local spool (directly on
+        preference list and write it back to the local store (directly on
         the backend, so the repair is not re-replicated).
         """
         node = self.nodes.get(name)

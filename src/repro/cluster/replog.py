@@ -31,7 +31,7 @@ from pathlib import Path
 from repro import faults
 from repro.core.journal import encode_frame, scan_frames
 from repro.core.repository import CredentialRepository, RepositoryEntry
-from repro.util.errors import RepositoryError
+from repro.util.errors import NotFoundError, RepositoryError
 from repro.util.logging import get_logger
 
 logger = get_logger("cluster.replog")
@@ -44,7 +44,7 @@ OP_DELETE = "delete"
 SITE_LOG_APPEND_PRE = faults.kill_point(
     "replog.append.pre", "write accepted, replication log not yet appended")
 SITE_LOG_APPEND_SYNCED = faults.kill_point(
-    "replog.append.synced", "replication log entry durable, spool untouched")
+    "replog.append.synced", "replication log entry durable, local store untouched")
 SITE_SHIP_PRE = faults.kill_point(
     "replog.ship.pre", "op applied locally, not yet shipped to any replica")
 SITE_SHIP_DELIVERED = faults.kill_point(
@@ -325,7 +325,10 @@ class ReplicatingRepository(CredentialRepository):
     op is appended to the log and applied locally *before* shipping, and
     the client's acknowledgement only happens after :attr:`shipper` returns
     — so an acknowledged credential exists on the primary **and** on at
-    least ``min_sync_acks`` replicas.
+    least ``min_sync_acks`` replicas.  One ordering lock spans append →
+    apply → ship, so ops leave this origin in sequence order: a replica
+    skips any sequence number at or below its watermark, and an op
+    overtaken in flight by its successor would be skipped for good.
 
     Two optional control-plane hooks guard the partition story:
 
@@ -354,6 +357,7 @@ class ReplicatingRepository(CredentialRepository):
         self._injector = injector if injector is not None else faults.NO_FAULTS
         self.epoch_source = epoch_source
         self.write_gate = write_gate
+        self._order = threading.Lock()
 
     def _ship(self, op: ReplicatedOp) -> None:
         self._injector.fire(SITE_SHIP_PRE)
@@ -373,21 +377,28 @@ class ReplicatingRepository(CredentialRepository):
 
     def put(self, entry: RepositoryEntry) -> None:
         self._gate(entry.username)
-        self._injector.fire(SITE_LOG_APPEND_PRE)
-        op = self.log.append(OP_PUT, entry.username, entry.cred_name,
-                             entry.to_json(), epoch=self._epoch(entry.username))
-        self._injector.fire(SITE_LOG_APPEND_SYNCED)
-        self.backend.put(entry)
-        self._ship(op)
+        with self._order:
+            self._injector.fire(SITE_LOG_APPEND_PRE)
+            op = self.log.append(OP_PUT, entry.username, entry.cred_name,
+                                 entry.to_json(), epoch=self._epoch(entry.username))
+            self._injector.fire(SITE_LOG_APPEND_SYNCED)
+            self.backend.put(entry)
+            self._ship(op)
 
     def delete(self, username: str, cred_name: str) -> bool:
         self._gate(username)
-        existed = self.backend.delete(username, cred_name)
-        if existed:
+        with self._order:
+            try:
+                self.backend.get(username, cred_name)
+            except NotFoundError:
+                return False
+            except RepositoryError:
+                pass  # corrupt here (now quarantined); replicas still hold it
             op = self.log.append(OP_DELETE, username, cred_name, None,
                                  epoch=self._epoch(username))
+            self.backend.delete(username, cred_name)
             self._ship(op)
-        return existed
+        return True
 
     # -- reads (pass-through) ----------------------------------------------
 

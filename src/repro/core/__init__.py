@@ -22,9 +22,11 @@ Layout:
 - :mod:`repro.core.renewal` — the §6.6 credential-renewal agent (secret- or
   possession-based).
 - :mod:`repro.core.httpbinding` — the §6.4 HTTP binding of the protocol.
-- :mod:`repro.core.admin` — ``myproxy-admin``-style spool administration.
+- :mod:`repro.core.segments` — the durable segment-file store.
+- :mod:`repro.core.migration` — read-only spool/SQLite sources for
+  ``myproxy-admin migrate``.
+- :mod:`repro.core.admin` — ``myproxy-admin``-style repository administration.
 - :mod:`repro.core.config` — the ``myproxy-server.config`` parser.
-- :mod:`repro.core.sqlrepository` — the SQLite storage backend.
 """
 
 from repro.core.client import MyProxyClient

@@ -3,7 +3,7 @@ distribution).
 
 Administration is an *on-host* activity: the operator of the tightly
 secured repository machine (§5.1 — "comparable to a Kerberos Domain
-Controller") inspects and grooms the credential spool directly, without
+Controller") inspects and grooms the credential store directly, without
 going through the network protocol or anyone's pass phrase.  Nothing here
 can decrypt a stored key; admins see metadata only.
 

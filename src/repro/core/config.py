@@ -56,9 +56,8 @@ Federation (see :mod:`repro.federation`)::
     # peer realms: trust roots, optionally a CDP endpoint (repeatable)
     realm_peer "beta /etc/grid-security/beta-roots.pem beta.example.org:7513"
 
-Storage backend (see :mod:`repro.core.segments`)::
+Segment store tuning (see :mod:`repro.core.segments`)::
 
-    storage_backend segments          # spool | segments | sqlite | auto
     storage_segment_max_bytes 33554432   # roll the active segment at this size
     storage_compact_ratio 0.5            # compact when half the sealed bytes are dead
     storage_cache_entries 1024           # hot-entry read cache (0 = off)
@@ -140,7 +139,6 @@ _FLAG_KEYS = (
     "federation",
 )
 _FEDERATION_STRING_KEYS = ("realm_name",)
-_STORAGE_STRING_KEYS = ("storage_backend",)
 #: Storage knobs where zero is meaningful (cache off, inline-only compaction).
 _STORAGE_ZERO_OK_KEYS = (
     "storage_cache_entries",
@@ -148,7 +146,6 @@ _STORAGE_ZERO_OK_KEYS = (
     "storage_compact_ratio",
 )
 _STORAGE_NUMBER_KEYS = ("storage_segment_max_bytes",)
-_STORAGE_BACKENDS = ("auto", "spool", "segments", "sqlite")
 _CLUSTER_STRING_KEYS = ("cluster_node_name", "cluster_secret", "cluster_state_dir")
 _CLUSTER_NUMBER_KEYS = (
     "cluster_replication_factor",
@@ -232,15 +229,8 @@ class ClientResilienceConfig:
 
 @dataclass(frozen=True)
 class StorageConfig:
-    """Which repository backend to open and its tuning knobs.
+    """Tuning knobs of the segment store (``storage_*`` directives)."""
 
-    ``backend="auto"`` keeps the historical behaviour: the directory's
-    ``storage.backend`` marker (written by ``myproxy-admin migrate``)
-    decides, falling back to segment-file detection and finally the
-    spool.  The remaining knobs only apply to the segments backend.
-    """
-
-    backend: str = "auto"
     segment_max_bytes: int = 32 * 1024 * 1024
     compact_ratio: float = 0.5
     cache_entries: int = 1024
@@ -253,8 +243,7 @@ class ServerConfig:
 
     policy: ServerPolicy
     cluster: ClusterConfig | None = None
-    #: Repository backend selection + segment-engine knobs
-    #: (``storage_*`` directives).
+    #: Segment-engine knobs (``storage_*`` directives).
     storage: StorageConfig = StorageConfig()
     #: Port for the plain-HTTP Prometheus ``/metrics`` endpoint
     #: (``metrics_port`` directive); ``None`` leaves it off.
@@ -393,7 +382,6 @@ def parse_config(text: str) -> ServerConfig:
     qos_class_lines: list[tuple[int, str]] = []
     federation_strings: dict[str, str] = {}
     realm_peer_lines: list[tuple[int, str]] = []
-    storage_strings: dict[str, str] = {}
     storage_numbers: dict[str, float] = {}
     client_numbers: dict[str, float] = {}
 
@@ -440,13 +428,6 @@ def parse_config(text: str) -> ServerConfig:
             if not value:
                 raise ConfigError(f"line {lineno}: {key} needs a value")
             federation_strings[key] = value
-        elif key in _STORAGE_STRING_KEYS:
-            if value not in _STORAGE_BACKENDS:
-                raise ConfigError(
-                    f"line {lineno}: {key} must be one of "
-                    f"{', '.join(_STORAGE_BACKENDS)}, got {value!r}"
-                )
-            storage_strings[key] = value
         elif key in _STORAGE_NUMBER_KEYS or key in _STORAGE_ZERO_OK_KEYS:
             try:
                 storage_numbers[key] = float(value)
@@ -583,7 +564,6 @@ def parse_config(text: str) -> ServerConfig:
         )
     storage_defaults = StorageConfig()
     storage = StorageConfig(
-        backend=storage_strings.get("storage_backend", storage_defaults.backend),
         segment_max_bytes=int(
             storage_numbers.get(
                 "storage_segment_max_bytes", storage_defaults.segment_max_bytes
@@ -648,7 +628,6 @@ def known_directives() -> set[str]:
         | set(_OBS_NUMBER_KEYS)
         | set(_FLAG_KEYS)
         | set(_FEDERATION_STRING_KEYS)
-        | set(_STORAGE_STRING_KEYS)
         | set(_STORAGE_ZERO_OK_KEYS)
         | set(_STORAGE_NUMBER_KEYS)
         | set(_CLUSTER_STRING_KEYS)

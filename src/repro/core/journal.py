@@ -1,12 +1,12 @@
-"""CRC-framed records and the repository's write-ahead journal.
+"""CRC-framed records and the storage layer's write-ahead journal.
 
-Every durable byte the storage layer writes — spool entry files, the
-repository journal, the replication log — is wrapped in the same frame::
+Every durable byte the storage layer writes — segment records, the
+compaction journal, the replication log — is wrapped in the same frame::
 
     %MPF1 <payload-length> <crc32>\\n<payload>\\n
 
 The header is a single ASCII line (length-prefixed, CRC32 of the payload),
-so a spool file stays human-inspectable while torn tails and bit rot are
+so a record stays human-inspectable while torn tails and bit rot are
 *detectable* instead of silently parsed into garbage.  :func:`scan_frames`
 classifies a byte stream's end state:
 
@@ -17,12 +17,14 @@ classifies a byte stream's end state:
   a zeroed block): everything from that point is quarantined, never
   silently dropped.
 
-:class:`WriteAheadJournal` layers redo logging on top: a mutation is
-journaled (op frame, fsync) *before* it touches the spool, and a commit
+:class:`WriteAheadJournal` layers redo logging on top: an operation is
+journaled (op frame, fsync) *before* it is carried out, and a commit
 marker is appended after.  Recovery replays ops that have no commit
 marker, so a process killed at any point between "journal synced" and
-"commit synced" converges to the post-op state — an acknowledged write
-can never be lost, and a half-applied one finishes instead of tearing.
+"commit synced" converges to the post-op state.  The segment engine
+journals its compactions this way; :func:`parse_journal` is the same
+recovery scan without the truncation, which ``myproxy-admin migrate``
+uses to read a legacy spool's ``journal.wal``.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ MAGIC = b"%MPF1"
 SITE_APPEND_PRE = faults.kill_point(
     "repo.journal.append.pre", "before the op record is written")
 SITE_APPEND_SYNCED = faults.kill_point(
-    "repo.journal.append.synced", "op record durable, spool not yet touched")
+    "repo.journal.append.synced", "op record durable, op not yet carried out")
 SITE_COMMIT_PRE = faults.kill_point(
-    "repo.journal.commit.pre", "spool updated, commit marker not yet written")
+    "repo.journal.commit.pre", "op carried out, commit marker not yet written")
 SITE_COMMIT_SYNCED = faults.kill_point(
     "repo.journal.commit.synced", "commit marker durable, ack about to happen")
 SITE_COMPACT_PRE = faults.kill_point(
@@ -159,7 +161,7 @@ def find_next_frame(data: bytes, pos: int) -> int:
 
 
 def decode_single_frame(data: bytes) -> bytes:
-    """Decode a file that must hold exactly one intact frame (spool entry)."""
+    """Decode a file that must hold exactly one intact frame (legacy spool entry)."""
     payloads, clean_len, status = scan_frames(data)
     if status != "clean" or len(payloads) != 1 or clean_len != len(data):
         raise FramingError(
@@ -176,9 +178,10 @@ def is_framed(data: bytes) -> bool:
 # the write-ahead journal
 # ---------------------------------------------------------------------------
 
+OP_COMMIT = "commit"
+#: Ops a legacy spool journaled; only ``myproxy-admin migrate`` reads them.
 OP_PUT = "put"
 OP_DELETE = "delete"
-OP_COMMIT = "commit"
 #: Structural op journaled by the segment engine: a compaction's
 #: rename-and-delete sequence is redo-logged so a crash mid-rewrite rolls
 #: forward to the compacted state instead of leaving both generations.
@@ -194,10 +197,48 @@ class JournalRecovery:
     torn_bytes: int = 0  # truncated (never-acked partial append)
     corrupt_bytes: int = 0  # quarantined (failed CRC)
     corrupt_tail: bytes = b""
+    max_txid: int = 0
+
+
+def parse_journal(data: bytes) -> JournalRecovery:
+    """Classify a journal's bytes without touching the file.
+
+    Returns the uncommitted ops in log order plus what a recovery would
+    truncate (torn tail) or quarantine (corrupt tail).
+    """
+    report = JournalRecovery()
+    payloads, clean_len, status = scan_frames(data)
+    if status == "torn":
+        report.torn_bytes = len(data) - clean_len
+    elif status == "corrupt":
+        report.corrupt_bytes = len(data) - clean_len
+        report.corrupt_tail = data[clean_len:]
+    ops: dict[int, dict] = {}
+    committed: set[int] = set()
+    order: list[int] = []
+    for payload in payloads:
+        try:
+            doc = json.loads(payload.decode("utf-8"))
+            txid = int(doc["txid"])
+            op = str(doc["op"])
+        except (ValueError, KeyError, TypeError):
+            # A frame with a good CRC but bad JSON means the writer
+            # itself was broken; treat like corruption, keep going.
+            report.corrupt_bytes += len(payload)
+            continue
+        report.max_txid = max(report.max_txid, txid)
+        if op == OP_COMMIT:
+            committed.add(txid)
+        else:
+            ops[txid] = doc
+            order.append(txid)
+    report.replayed_commits = len(committed)
+    report.pending = [ops[t] for t in order if t not in committed]
+    return report
 
 
 class WriteAheadJournal:
-    """Redo journal for a spool directory: op frame → apply → commit frame.
+    """Redo journal: op frame → apply → commit frame.
 
     All appends go through the fault injector's file shim, so chaos plans
     can tear, drop or error any byte of it; compaction truncates the file
@@ -230,44 +271,17 @@ class WriteAheadJournal:
     def recover(self) -> JournalRecovery:
         """Scan the journal, truncate torn tails, return uncommitted ops.
 
-        The caller replays ``pending`` into the spool and then calls
-        :meth:`reset` — at that point every surviving op is applied and
-        the journal may start empty.
+        The caller replays ``pending`` and then calls :meth:`reset` — at
+        that point every surviving op is applied and the journal may start
+        empty.
         """
-        report = JournalRecovery()
         data = Path(self.path).read_bytes() if self.path.exists() else b""
-        payloads, clean_len, status = scan_frames(data)
-        if status == "torn":
-            report.torn_bytes = len(data) - clean_len
-        elif status == "corrupt":
-            report.corrupt_bytes = len(data) - clean_len
-            report.corrupt_tail = data[clean_len:]
+        report = parse_journal(data)
+        clean_len = len(data) - report.torn_bytes - len(report.corrupt_tail)
         if clean_len != len(data):
             self._file.truncate(clean_len)
-        ops: dict[int, dict] = {}
-        committed: set[int] = set()
-        order: list[int] = []
-        max_txid = 0
-        for payload in payloads:
-            try:
-                doc = json.loads(payload.decode("utf-8"))
-                txid = int(doc["txid"])
-                op = str(doc["op"])
-            except (ValueError, KeyError, TypeError):
-                # A frame with a good CRC but bad JSON means the writer
-                # itself was broken; treat like corruption, keep going.
-                report.corrupt_bytes += len(payload)
-                continue
-            max_txid = max(max_txid, txid)
-            if op == OP_COMMIT:
-                committed.add(txid)
-            else:
-                ops[txid] = doc
-                order.append(txid)
-        report.replayed_commits = len(committed)
-        report.pending = [ops[t] for t in order if t not in committed]
-        self._next_txid = max_txid + 1
-        self._pending = {t for t in order if t not in committed}
+        self._next_txid = report.max_txid + 1
+        self._pending = {int(op["txid"]) for op in report.pending}
         return report
 
     def reset(self) -> None:

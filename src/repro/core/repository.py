@@ -21,9 +21,11 @@ encrypt under, so those entries are sealed with a server-held master key —
 protecting against file-system theft but not a fully compromised server.
 ``EXPERIMENTS.md`` (S1/S5) measures both sides of that trade.
 
-Two backends with one interface: :class:`MemoryRepository` (tests,
-benchmarks) and :class:`FileRepository` (what a deployment would run; files
-are mode 0600 inside a mode 0700 spool directory, written atomically).
+Two backends with one interface: :class:`MemoryRepository` (in-process
+default, tests, and the reference model the durable store is checked
+against) and :class:`~repro.core.segments.SegmentRepository`, the one
+durable store a deployment runs (segment files inside a mode 0700
+directory; see that module).
 """
 
 from __future__ import annotations
@@ -32,29 +34,14 @@ import base64
 import hashlib
 import hmac
 import json
-import os
 import secrets
 import threading
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from repro import faults
-from repro.core.journal import (
-    WriteAheadJournal,
-    decode_single_frame,
-    encode_frame,
-    is_framed,
-)
-from repro.core.journal import OP_DELETE as _JOURNAL_DELETE
-from repro.core.journal import OP_PUT as _JOURNAL_PUT
-from repro.faults import ShimFile
 from repro.util.errors import AuthenticationError, NotFoundError, RepositoryError
-from repro.util.logging import get_logger
-
-logger = get_logger("core.repository")
 
 KEY_ENC_PASSPHRASE = "passphrase"
 KEY_ENC_SERVER = "server-key"
@@ -290,26 +277,21 @@ class MemoryRepository(CredentialRepository):
             return sorted({u for (u, _) in self._entries})
 
 
-# Spool-side kill points (the journal registers its own).
-_SITE_SPOOL_PRE_RENAME = faults.kill_point(
-    "repo.spool.pre_rename", "entry temp file fsynced, rename not yet done")
-_SITE_SPOOL_RENAMED = faults.kill_point(
-    "repo.spool.renamed", "entry renamed into place, directory not yet fsynced")
-_SITE_DELETE_ZEROIZED = faults.kill_point(
-    "repo.delete.zeroized", "entry zeroized on disk but not yet unlinked")
-
 QUARANTINE_DIR = "quarantine"
-JOURNAL_FILE = "journal.wal"
 
 
 def encode_key_token(username: str, cred_name: str) -> str:
     """URL-safe base64 of ``username\\x00cred_name``.
 
-    Used for spool file names and segment record headers alike: it avoids
-    path traversal via hostile user names, keeps the mapping bijective,
-    and lets quarantine artifacts from either backend name the credential
-    they hold.
+    Used in segment record headers and quarantine file names (legacy
+    spool files were named by it too): it avoids path traversal via
+    hostile user names, keeps the mapping bijective, and lets quarantine
+    artifacts name the credential they hold.  The NUL separator must not
+    occur in the user name, or ``("a\\x00b", "c")`` and ``("a", "b\\x00c")``
+    would share one token — one user's record read back as another's.
     """
+    if "\x00" in username:
+        raise RepositoryError("user name must not contain a NUL character")
     return base64.urlsafe_b64encode(
         username.encode("utf-8") + b"\x00" + cred_name.encode("utf-8")
     ).decode("ascii")
@@ -322,7 +304,7 @@ def decode_key_token(token: str) -> tuple[str, str]:
 
 
 class StorageStats:
-    """Corruption/recovery counters for one spool, mirrorable into obs.
+    """Corruption/recovery counters for one store, mirrorable into obs.
 
     The repository exists before any server (and its registry) does, so
     counts accumulate locally first; :meth:`publish` transfers them into a
@@ -332,13 +314,13 @@ class StorageStats:
 
     _COUNTERS = (
         ("corruption_detected", "myproxy_storage_corruption_detected_total",
-         "Spool or journal records that failed CRC/parse checks."),
+         "Stored or journal records that failed CRC/parse checks."),
         ("records_recovered", "myproxy_storage_records_recovered_total",
-         "Journal ops replayed into the spool during recovery."),
+         "Journal ops replayed during recovery."),
         ("torn_truncated", "myproxy_storage_torn_truncated_total",
          "Torn (never-acknowledged) record tails truncated at recovery."),
         ("quarantined", "myproxy_storage_quarantined_total",
-         "Entry files moved to the quarantine directory."),
+         "Corrupt records or files set aside in the quarantine directory."),
         ("scrub_repaired", "myproxy_storage_scrub_repaired_total",
          "Quarantined entries restored from a cluster peer."),
     )
@@ -392,7 +374,7 @@ class StorageStats:
             mirror[name] = counter
         histogram = registry.histogram(
             "myproxy_recovery_seconds",
-            "Startup recovery / scrub duration for the credential spool.",
+            "Startup recovery / scrub duration for the credential store.",
         )
         for value in durations:
             histogram.observe(value)
@@ -403,339 +385,9 @@ class StorageStats:
 
 @dataclass(frozen=True)
 class QuarantinedEntry:
-    """One corrupt spool file set aside for repair instead of deletion."""
+    """One corrupt record or file set aside for repair instead of deletion."""
 
     username: str
     cred_name: str
     path: Path
     reason: str
-
-
-class FileRepository(CredentialRepository):
-    """One framed JSON file per entry, journaled and written atomically.
-
-    File names are URL-safe base64 of ``username\\x00cred_name``, which both
-    avoids path traversal via hostile user names and keeps the mapping
-    bijective.  Every entry file is a CRC32 frame (legacy plain-JSON files
-    remain readable); mutations are redo-logged in a write-ahead journal
-    before touching the spool, and opening the repository runs recovery:
-    torn tails are truncated, corrupt entries are quarantined (never
-    silently dropped), and uncommitted journal ops are replayed.
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        *,
-        injector: faults.FaultInjector | None = None,
-        journal: bool = True,
-        compact_threshold: int = 256,
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        os.chmod(self.root, 0o700)
-        self._lock = threading.RLock()
-        self._injector = injector if injector is not None else faults.active()
-        self.stats = StorageStats()
-        self._quarantine_dir = self.root / QUARANTINE_DIR
-        started = time.perf_counter()
-        # Crash recovery step 1: a put that died between temp-file write
-        # and rename leaves a ``*.json.tmp`` behind.  The rename was
-        # atomic, so the entry is either fully present under its real name
-        # or absent — the orphan is garbage either way and must not linger
-        # (it may hold a partially-written copy of an encrypted key).
-        for orphan in self.root.glob("*.json.tmp"):
-            orphan.unlink(missing_ok=True)
-        # Step 2: replay uncommitted journal ops (redo; idempotent).  This
-        # runs *before* the corruption scan so a journaled op can repair
-        # the damage it describes — a put rewrites its entry whole, and a
-        # delete that crashed between zeroize and unlink finishes instead
-        # of leaving a zeroed husk for quarantine.
-        self._journal: WriteAheadJournal | None = None
-        if journal:
-            self._journal = WriteAheadJournal(
-                self.root / JOURNAL_FILE,
-                injector=self._injector,
-                compact_threshold=compact_threshold,
-            )
-            self._recover_journal()
-        # Step 3: quarantine anything still unreadable — bit rot and torn
-        # states no journal record covers.  Never silently dropped.
-        self._scrub_locked()
-        self.stats.observe_recovery(time.perf_counter() - started)
-
-    # -- recovery ----------------------------------------------------------
-
-    def _recover_journal(self) -> None:
-        report = self._journal.recover()
-        if report.torn_bytes:
-            self.stats.inc("torn_truncated")
-            logger.warning(
-                "journal: truncated %d torn bytes (unacknowledged append)",
-                report.torn_bytes,
-            )
-        if report.corrupt_bytes:
-            self.stats.inc("corruption_detected")
-            self._quarantine_bytes("journal.wal", report.corrupt_tail)
-            logger.error(
-                "journal: quarantined %d corrupt bytes", report.corrupt_bytes
-            )
-        for op in report.pending:
-            self._redo(op)
-            self.stats.inc("records_recovered")
-        if report.pending or report.replayed_commits:
-            self._journal.reset()
-
-    def _redo(self, op: dict) -> None:
-        """Re-apply one uncommitted journal op to the spool (idempotent)."""
-        path = self._path(str(op.get("username", "")), str(op.get("cred_name", "")))
-        kind = op.get("op")
-        if kind == _JOURNAL_PUT and isinstance(op.get("document"), str):
-            data = encode_frame(op["document"].encode("utf-8"))
-            self._write_entry_file(path, data)
-            logger.info("recovery: replayed put for %s", path.name)
-        elif kind == _JOURNAL_DELETE:
-            if path.exists():
-                self._zeroize_unlink(path)
-            logger.info("recovery: replayed delete for %s", path.name)
-
-    def _scrub_locked(self) -> int:
-        """Quarantine every unreadable entry file; returns how many."""
-        moved = 0
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                self._decode_file(path.read_bytes())
-            except (RepositoryError, OSError, ValueError) as exc:
-                self._quarantine(path, str(exc))
-                moved += 1
-        return moved
-
-    def scrub(self) -> dict:
-        """Re-scan the spool now; returns a summary (admin ``scrub``)."""
-        started = time.perf_counter()
-        with self._lock:
-            moved = self._scrub_locked()
-        duration = time.perf_counter() - started
-        self.stats.observe_recovery(duration)
-        return {
-            "checked": self.count(),
-            "quarantined_now": moved,
-            "quarantined_total": len(self.quarantined()),
-            "duration_seconds": duration,
-        }
-
-    # -- quarantine --------------------------------------------------------
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        self._quarantine_dir.mkdir(mode=0o700, exist_ok=True)
-        target = self._quarantine_dir / path.name
-        n = 0
-        while target.exists():
-            n += 1
-            target = self._quarantine_dir / f"{path.name}.q{n}"
-        os.replace(path, target)
-        try:
-            target.with_name(target.name + ".reason").write_text(
-                reason + "\n", "utf-8"
-            )
-        except OSError:  # pragma: no cover - reason is best-effort
-            pass
-        self.stats.inc("corruption_detected")
-        self.stats.inc("quarantined")
-        logger.error("quarantined corrupt entry %s: %s", path.name, reason)
-
-    def _quarantine_bytes(self, label: str, data: bytes) -> None:
-        self._quarantine_dir.mkdir(mode=0o700, exist_ok=True)
-        target = self._quarantine_dir / f"{label}.corrupt"
-        n = 0
-        while target.exists():
-            n += 1
-            target = self._quarantine_dir / f"{label}.corrupt.q{n}"
-        target.write_bytes(data)
-        self.stats.inc("quarantined")
-
-    def quarantined(self) -> list[QuarantinedEntry]:
-        """Every quarantined entry, with its identity when decodable."""
-        if not self._quarantine_dir.is_dir():
-            return []
-        out = []
-        for path in sorted(self._quarantine_dir.iterdir()):
-            name = path.name
-            if ".json" not in name or name.endswith(".reason"):
-                continue
-            token = name.split(".json", 1)[0]
-            try:
-                username, cred_name = self._unfilename(token + ".json")
-            except (ValueError, UnicodeDecodeError):
-                username = cred_name = ""
-            reason_path = path.with_name(name + ".reason")
-            try:
-                reason = reason_path.read_text("utf-8").strip()
-            except OSError:
-                reason = "corrupt"
-            out.append(QuarantinedEntry(username, cred_name, path, reason))
-        return out
-
-    def clear_quarantine(self, username: str, cred_name: str) -> int:
-        """Drop quarantine files for one entry (after a verified repair)."""
-        removed = 0
-        for item in self.quarantined():
-            if (item.username, item.cred_name) == (username, cred_name):
-                item.path.unlink(missing_ok=True)
-                item.path.with_name(item.path.name + ".reason").unlink(
-                    missing_ok=True
-                )
-                removed += 1
-        return removed
-
-    # -- metrics -----------------------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Expose this spool's corruption/recovery counters on ``registry``."""
-        self.stats.publish(registry)
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _fsync_root(self) -> None:
-        """Flush the directory entry itself — a rename or unlink is only
-        durable once the parent directory's metadata hits the platter
-        (replicas rely on their local spool surviving a host crash)."""
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    @staticmethod
-    def _filename(username: str, cred_name: str) -> str:
-        return f"{encode_key_token(username, cred_name)}.json"
-
-    @staticmethod
-    def _unfilename(name: str) -> tuple[str, str]:
-        return decode_key_token(name.removesuffix(".json"))
-
-    def _path(self, username: str, cred_name: str) -> Path:
-        return self.root / self._filename(username, cred_name)
-
-    @staticmethod
-    def _decode_file(raw: bytes) -> RepositoryEntry:
-        """Decode a spool file: CRC frame (current) or bare JSON (legacy)."""
-        if is_framed(raw):
-            payload = decode_single_frame(raw)
-        else:
-            payload = raw
-        return RepositoryEntry.from_json(payload.decode("utf-8"))
-
-    def _write_entry_file(self, path: Path, data: bytes) -> None:
-        """Write one framed entry atomically: tmp → fsync → rename → fsync."""
-        tmp = path.with_suffix(".json.tmp")
-        shim = ShimFile(
-            tmp,
-            self._injector,
-            write_site="repo.spool.write",
-            fsync_site="repo.spool.fsync",
-        )
-        try:
-            shim.truncate(0)
-            shim.write(data)
-            shim.fsync()
-        finally:
-            shim.close()
-        self._injector.fire(_SITE_SPOOL_PRE_RENAME)
-        os.replace(tmp, path)
-        self._injector.fire(_SITE_SPOOL_RENAMED)
-        self._fsync_root()
-
-    def _zeroize_unlink(self, path: Path) -> None:
-        size = path.stat().st_size
-        with open(path, "r+b") as fh:  # zeroize before unlink
-            fh.write(b"\0" * size)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._injector.fire(_SITE_DELETE_ZEROIZED)
-        path.unlink()
-        self._fsync_root()
-
-    # -- CredentialRepository interface ------------------------------------
-
-    def put(self, entry: RepositoryEntry) -> None:
-        path = self._path(entry.username, entry.cred_name)
-        document = entry.to_json()
-        data = encode_frame(document.encode("utf-8"))
-        with self._lock:
-            try:
-                txid = None
-                if self._journal is not None:
-                    txid = self._journal.begin(
-                        _JOURNAL_PUT, entry.username, entry.cred_name, document
-                    )
-                self._write_entry_file(path, data)
-                if txid is not None:
-                    self._journal.commit(txid)
-            except faults.InjectedFault as exc:
-                raise RepositoryError(f"storage write failed: {exc}") from exc
-            except OSError as exc:
-                raise RepositoryError(f"storage write failed: {exc}") from exc
-
-    def get(self, username: str, cred_name: str) -> RepositoryEntry:
-        path = self._path(username, cred_name)
-        with self._lock:
-            if not path.exists():
-                raise NotFoundError(
-                    f"no credential {cred_name!r} stored for user {username!r}"
-                )
-            raw = path.read_bytes()
-            try:
-                return self._decode_file(raw)
-            except RepositoryError as exc:
-                # Never serve (or silently hide) a corrupt credential:
-                # set it aside for scrub/repair and fail the read loudly.
-                self._quarantine(path, str(exc))
-                raise RepositoryError(
-                    f"credential {cred_name!r} for user {username!r} is "
-                    f"corrupt and has been quarantined: {exc}"
-                ) from exc
-
-    def delete(self, username: str, cred_name: str) -> bool:
-        path = self._path(username, cred_name)
-        with self._lock:
-            if not path.exists():
-                return False
-            try:
-                txid = None
-                if self._journal is not None:
-                    txid = self._journal.begin(
-                        _JOURNAL_DELETE, username, cred_name, None
-                    )
-                self._zeroize_unlink(path)
-                if txid is not None:
-                    self._journal.commit(txid)
-            except faults.InjectedFault as exc:
-                raise RepositoryError(f"storage delete failed: {exc}") from exc
-            except OSError as exc:
-                raise RepositoryError(f"storage delete failed: {exc}") from exc
-            return True
-
-    def _iter_entries(self):
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                yield self._decode_file(path.read_bytes())
-            except RepositoryError as exc:
-                # Surface, don't skip: quarantine and keep listing the rest.
-                self._quarantine(path, str(exc))
-
-    def list_for(self, username: str) -> list[RepositoryEntry]:
-        with self._lock:
-            return [e for e in self._iter_entries() if e.username == username]
-
-    def count(self) -> int:
-        with self._lock:
-            return sum(1 for _ in self.root.glob("*.json"))
-
-    def usernames(self) -> list[str]:
-        with self._lock:
-            return sorted({self._unfilename(p.name)[0] for p in self.root.glob("*.json")})
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()

@@ -1,21 +1,19 @@
-"""Packed segment-file storage: the repository backend for 10^6+ entries.
+"""Packed segment-file storage: the one durable repository backend.
 
-The spool (one file per credential, :class:`~repro.core.repository.
-FileRepository`) is faithful to the paper's deployment but goes
-quadratic-ish at scale: startup recovery stats and CRC-checks every file,
-replica bootstrap replays the full replication log one journaled put at a
-time, and every mutation costs several fsyncs of its own little file.
-This module replaces the layout, not the contract: behind the same
-:class:`~repro.core.repository.CredentialRepository` interface, entries
-live packed inside append-only **segment files** —
+The paper's deployment kept one file per credential (§3.2).  That layout
+goes quadratic-ish at scale — startup recovery stats and CRC-checks every
+file, replica bootstrap replays the full replication log one put at a
+time, and every mutation costs several fsyncs of its own little file — so
+behind the same :class:`~repro.core.repository.CredentialRepository`
+interface, entries live packed inside append-only **segment files** —
 
     %MPS1 v1 id=<n> gen=<g> [covers=<a>-<b>]\\n     (one ASCII header line)
-    <%MPF1 frame>*                                  (records, PR 4 framing)
+    <%MPF1 frame>*                                  (CRC32 record frames)
 
 Record payloads (the bytes inside each CRC32 frame):
 
-- ``P <token>\\n<entry-json>`` — a put; ``token`` is the same URL-safe
-  base64 of ``username\\x00cred_name`` the spool used for file names;
+- ``P <token>\\n<entry-json>`` — a put; ``token`` is the URL-safe
+  base64 of ``username\\x00cred_name``;
 - ``D <token>`` — a tombstone (delete).
 
 Latest record wins.  The *active* segment is the write-ahead log itself:
@@ -28,11 +26,12 @@ decoded entries so repeat retrievals skip the disk entirely.
 Compaction rewrites the still-live records of every sealed segment into
 one new segment (``gen`` bumped, ``covers`` naming the replaced id range)
 and removes the inputs — the multi-file rename-and-delete is redo-logged
-through PR 4's :class:`~repro.core.journal.WriteAheadJournal`, so a crash
+through :class:`~repro.core.journal.WriteAheadJournal`, so a crash
 anywhere in it rolls forward.  Dead records (overwritten entries,
-tombstones) survive at most until the next compaction, at which point the
-input segments are zeroized before unlink (the spool's delete hygiene,
-batched).
+tombstones) survive until the segment holding them is sealed and
+compacted, at which point the input segments are zeroized before unlink
+(DESIGN.md §5 names that retention window; ``myproxy-admin compact``
+closes it on demand).
 
 Replica bootstrap ships a **snapshot stream** instead of replaying the
 replication log: a header frame, every live record's raw frame bytes, and
@@ -40,7 +39,7 @@ a CRC-summed trailer (PROTOCOL.md §11).  Ingest writes them straight into
 fresh segments with one fsync per segment — thousands of entries per
 fsync instead of several fsyncs per entry.
 
-Corruption handling keeps PR 4's quarantine-never-skip rule: a corrupt
+Corruption handling follows the quarantine-never-skip rule: a corrupt
 region inside a segment is copied byte-for-byte into ``quarantine/``
 (named for the credential when the record header survives, so
 ``myproxy-cluster scrub`` can re-fetch it from a peer) and the scan
@@ -87,7 +86,7 @@ SEGMENT_MAGIC = b"%MPS1"
 SEGMENT_SUFFIX = ".mps"
 SEGMENT_WAL = "segments.wal"
 #: Marker file naming the backend a directory holds; written atomically by
-#: ``myproxy-admin migrate`` as the commit point of a spool conversion.
+#: ``myproxy-admin migrate`` as the commit point of a legacy conversion.
 BACKEND_MARKER = "storage.backend"
 #: Present while a snapshot ingest is in flight; a crash mid-bootstrap
 #: leaves it behind and recovery discards the half-written segments (the
@@ -117,7 +116,7 @@ SITE_SEG_COMPACT_CLEANED = faults.kill_point(
 
 
 class SegmentStats(StorageStats):
-    """Spool counters plus the segment engine's own."""
+    """Corruption/recovery counters plus the segment engine's own."""
 
     _COUNTERS = StorageStats._COUNTERS + (
         ("compactions", "myproxy_storage_compactions_total",
@@ -211,6 +210,20 @@ class _Segment:
             except OSError:  # pragma: no cover - teardown
                 pass
             self.read_fd = None
+
+
+def zeroize_unlink(path: Path) -> None:
+    """Overwrite a file with zeros, fsync, then unlink it, so the
+    encrypted keys it held do not linger in freed blocks."""
+    try:
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:
+            fh.write(b"\0" * min(size, 1 << 26))
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError:  # pragma: no cover - already gone
+        pass
+    path.unlink(missing_ok=True)
 
 
 def put_record(username: str, cred_name: str, document: str) -> bytes:
@@ -656,8 +669,9 @@ class SegmentRepository(CredentialRepository):
     def quarantined(self) -> list[QuarantinedEntry]:
         """Every quarantined artifact, with identity when recoverable.
 
-        Spool-style ``<token>.json`` names (which migration preserves
-        verbatim) and segment-region artifacts are both listed, so
+        ``<token>.json`` names (segment regions whose record header
+        survived, and legacy spool files migration preserved) and
+        anonymous segment-region artifacts are both listed, so
         ``myproxy-cluster scrub`` repairs either kind from peers.
         """
         if not self._quarantine_dir.is_dir():
@@ -711,15 +725,7 @@ class SegmentRepository(CredentialRepository):
 
     def _zeroize_unlink(self, path: Path) -> None:
         """Blank a dead segment before unlink (batched delete hygiene)."""
-        try:
-            size = path.stat().st_size
-            with open(path, "r+b") as fh:
-                fh.write(b"\0" * min(size, 1 << 26))
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError:  # pragma: no cover - already gone
-            pass
-        path.unlink(missing_ok=True)
+        zeroize_unlink(path)
         _sidecar_path(path).unlink(missing_ok=True)
         self._fsync_root()
 
@@ -824,7 +830,7 @@ class SegmentRepository(CredentialRepository):
             seg.total_record_bytes += length
             self._cache_put(key, entry)
             self._update_gauges()
-            self._maybe_compact_locked()
+            self._compact_after_write_locked()
 
     def get(self, username: str, cred_name: str) -> RepositoryEntry:
         key = (username, cred_name)
@@ -904,13 +910,20 @@ class SegmentRepository(CredentialRepository):
                     self._by_user.pop(username, None)
             self._cache.pop(key, None)
             self._update_gauges()
-            self._maybe_compact_locked()
+            self._compact_after_write_locked()
             return True
 
     def list_for(self, username: str) -> list[RepositoryEntry]:
         with self._lock:
-            names = sorted(self._by_user.get(username, ()))
-            return [self.get(username, name) for name in names]
+            entries = []
+            for name in sorted(self._by_user.get(username, ())):
+                try:
+                    entries.append(self.get(username, name))
+                except RepositoryError:
+                    # Surface, don't skip: the rotten record is now in
+                    # quarantine (and reported there); list the rest.
+                    continue
+            return entries
 
     def count(self) -> int:
         with self._lock:
@@ -952,6 +965,17 @@ class SegmentRepository(CredentialRepository):
     def _sealed(self) -> list[_Segment]:
         return [s for s in self._segments.values() if s is not self._active]
 
+    def _compact_after_write_locked(self) -> None:
+        """Compaction triggered by an append that is already durable and
+        acknowledged: a failing disk here must not fail (and so
+        un-acknowledge) that write.  ``_compact_locked`` leaves the live
+        state consistent whenever it raises; what it left on disk is
+        rolled forward or discarded by the next attempt or recovery."""
+        try:
+            self._maybe_compact_locked()
+        except (OSError, RepositoryError) as exc:
+            logger.error("compaction after write failed, will retry: %s", exc)
+
     def _maybe_compact_locked(self) -> None:
         if self.compact_ratio <= 0 or self._streams_active:
             return
@@ -966,10 +990,17 @@ class SegmentRepository(CredentialRepository):
             self._maybe_compact_locked()
 
     def compact(self) -> int:
-        """Rewrite live records of every sealed segment; returns bytes freed."""
+        """Seal the active segment (when it holds any record) and rewrite
+        the live records of every sealed one; returns bytes freed.
+
+        Every dead record on disk is zeroized now — the ``myproxy-admin
+        compact`` lever for the retention window.
+        """
         with self._lock:
             if self._streams_active:
                 return 0
+            if self._active.total_record_bytes:
+                self._seal_and_roll()
             return self._compact_locked()
 
     def _compact_locked(self) -> int:
@@ -1017,17 +1048,12 @@ class SegmentRepository(CredentialRepository):
         )
         self._injector.fire(SITE_SEG_COMPACT_PRE_RENAME)
         os.replace(tmp, final)
-        self._fsync_root()
-        self._injector.fire(SITE_SEG_COMPACT_RENAMED)
-        for seg in sealed.values():
-            seg.close()
-            self._zeroize_unlink(seg.path)
-        self._injector.fire(SITE_SEG_COMPACT_CLEANED)
-        self._journal.commit(txid)
-
+        # The output is authoritative from here (recovery rolls forward),
+        # so the live index moves to it before any cleanup step can fail:
+        # a failure below leaves input files for recovery, never an index
+        # pointing at closed or unlinked segments.
         out = _Segment(final, out_id, out_gen, covers, size=pos)
         out.total_record_bytes = new_total
-        self._write_sidecar(final, pos, out_records, out_crc)
         for segkey in sealed:
             self._segments.pop(segkey, None)
         self._segments[out.key] = out
@@ -1035,6 +1061,15 @@ class SegmentRepository(CredentialRepository):
             self._index[key] = (out.key, offset, length)
         self.stats.inc("compactions")
         self._update_gauges()
+
+        self._fsync_root()
+        self._injector.fire(SITE_SEG_COMPACT_RENAMED)
+        for seg in sealed.values():
+            seg.close()
+            self._zeroize_unlink(seg.path)
+        self._injector.fire(SITE_SEG_COMPACT_CLEANED)
+        self._journal.commit(txid)
+        self._write_sidecar(final, pos, out_records, out_crc)
         freed = before - pos
         logger.info("compacted %d segment(s) into %s: %d bytes freed",
                     len(sealed), name, freed)
@@ -1276,97 +1311,58 @@ class SegmentRepository(CredentialRepository):
 
 
 def detect_backend(root: str | os.PathLike) -> str:
-    """What backend a directory holds.
+    """What a storage path holds: ``segments``, ``spool`` or ``sqlite``.
 
     The ``storage.backend`` marker wins (it is the migration commit
-    point).  Without one, segment files mean segments — unless spool
-    entry files sit beside them, which is the debris of a migration that
-    crashed before its marker: the spool is still the truth then.
+    point).  Without one, a ``*.db``/``*.sqlite`` path is an SQLite
+    database, and legacy spool entries (``*.json``) or a spool
+    ``journal.wal`` mean an unmigrated spool — even beside segment files,
+    which are then the debris of a migration that crashed before its
+    marker.  Anything else (a fresh or segment directory) is segments.
     """
     root = Path(root)
     marker = root / BACKEND_MARKER
     if marker.exists():
-        try:
-            return marker.read_text("utf-8").strip() or "spool"
-        except OSError:  # pragma: no cover
-            return "spool"
-    has_segments = any(
-        _FILE_RE.match(p.name) for p in root.glob(f"seg-*{SEGMENT_SUFFIX}")
-    )
-    has_spool = any(
-        p.name.endswith(".json") for p in root.glob("*.json")
-    )
-    if has_segments and not has_spool:
-        return "segments"
-    return "spool"
+        return marker.read_text("utf-8").strip()
+    if root.suffix in (".db", ".sqlite", ".sqlite3"):
+        return "sqlite"
+    if (root / "journal.wal").exists() or any(root.glob("*.json")):
+        return "spool"
+    return "segments"
 
 
-def migrate_spool_to_segments(
-    root: str | os.PathLike,
-    *,
-    keep_spool: bool = False,
-    segment_max_bytes: int = 32 * 1024 * 1024,
-) -> dict:
-    """In-place spool → segments conversion (``myproxy-admin migrate``).
+def open_repository(path: str | os.PathLike, *, storage=None) -> SegmentRepository:
+    """Open the segment store at ``path``, refusing unmigrated legacy data.
 
-    Opens the spool (running its recovery first, so pending journal ops
-    land and corrupt entries are already quarantined), bulk-loads every
-    entry into segments in the same directory, verifies each one reads
-    back identically, and only then writes the ``storage.backend`` marker
-    — the commit point.  Quarantined files stay where they are (the
-    segments backend lists them too, so ``myproxy-cluster scrub`` keeps
-    working).  Unless ``keep_spool``, the old per-credential files are
-    zeroized and removed afterwards; a crash before the marker leaves a
-    valid spool, after it a valid segment store, so the conversion is
-    old-or-new like every other mutation.
-
-    A repository already on segments is a no-op (``migrated=False``).
+    Opening a populated spool or an SQLite file as an empty segment store
+    would make every credential in it vanish, so those are refused with
+    the command that converts them.  A store opened here gets the
+    ``segments`` marker, so a stray ``*.json`` file dropped into it later
+    never makes it look like a spool.  ``storage`` may be a
+    :class:`~repro.core.config.StorageConfig` carrying the engine's knobs.
     """
-    from repro.core.repository import FileRepository
-
-    root = Path(root)
-    if detect_backend(root) == "segments":
-        return {"migrated": False, "entries": 0, "reason": "already segments"}
-
-    # Debris of a migration that crashed before its marker: the spool is
-    # still authoritative, so the half-written segments restart from zero.
-    for leftover in root.glob(f"seg-*{SEGMENT_SUFFIX}*"):
-        leftover.unlink(missing_ok=True)
-    (root / SEGMENT_WAL).unlink(missing_ok=True)
-    (root / INGEST_MARKER).unlink(missing_ok=True)
-
-    spool = FileRepository(root)
-    entries = []
-    for username in spool.usernames():
-        entries.extend(spool.list_for(username))
-
-    segments = SegmentRepository(root, segment_max_bytes=segment_max_bytes)
-    try:
-        if segments.count():
-            raise RepositoryError(
-                "segment files already present alongside the spool; "
-                "refusing to merge"
-            )
-        loaded = segments.bulk_load(entries)
-        for entry in entries:
-            copy = segments.get(entry.username, entry.cred_name)
-            if copy.to_json() != entry.to_json():
-                raise RepositoryError(
-                    f"migration verify failed for "
-                    f"{entry.username}/{entry.cred_name}"
-                )
-        write_backend_marker(root, "segments")
-    except BaseException:
-        segments.close()
-        raise
-    if not keep_spool:
-        for entry in entries:
-            # The spool's own delete hygiene: zeroize before unlink.
-            spool.delete(entry.username, entry.cred_name)
-        (root / "journal.wal").unlink(missing_ok=True)
-    spool.close()
-    segments.close()
-    return {"migrated": True, "entries": loaded, "spool_removed": not keep_spool}
+    found = detect_backend(path)
+    legacy = {"spool": "holds unmigrated spool entries",
+              "sqlite": "is an SQLite repository file"}
+    if found in legacy:
+        raise RepositoryError(
+            f"{path} {legacy[found]}, which this server no longer opens; "
+            f"convert it first with 'myproxy-admin --storage-dir {path} migrate'"
+        )
+    if found != "segments":
+        raise RepositoryError(f"{path} is marked as {found!r} storage, not segments")
+    knobs = {}
+    if storage is not None:
+        knobs = dict(
+            segment_max_bytes=storage.segment_max_bytes,
+            compact_ratio=storage.compact_ratio,
+            cache_entries=storage.cache_entries,
+            compact_interval=storage.compact_interval,
+        )
+    repo = SegmentRepository(path, **knobs)
+    if not (repo.root / BACKEND_MARKER).exists():
+        write_backend_marker(repo.root, "segments")
+    return repo
 
 
 def write_backend_marker(root: str | os.PathLike, backend: str) -> None:

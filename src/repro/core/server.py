@@ -324,7 +324,7 @@ class MyProxyServer:
             metrics_registry if metrics_registry is not None else MetricsRegistry()
         )
         self.stats = ServerStats(self.metrics)
-        # Storage backends that track corruption/recovery (FileRepository)
+        # Storage backends that track corruption/recovery (segments)
         # surface those counters on this server's /metrics endpoint.
         if hasattr(self.repository, "publish_metrics"):
             self.repository.publish_metrics(self.metrics)
@@ -911,7 +911,7 @@ class MyProxyServer:
         except RepositoryError as exc:
             # Storage trouble (I/O error, quarantined entry, failed
             # replication quorum): audit the real cause but keep the wire
-            # message generic — a client must not learn spool internals.
+            # message generic — a client must not learn storage internals.
             self._audit_event(
                 peer_name,
                 request.command.name,

@@ -4,7 +4,7 @@ The paper's durability claims (§5.1: the repository is the safe home of a
 user's credentials) are only worth what they survive.  This package makes
 every claim executable under adversity: seeded fault plans plant torn
 writes, I/O errors, lost fsyncs, partitions and process kills at *named
-sites* inside the journal, spool and replication paths — no
+sites* inside the segment, journal and replication paths — no
 monkeypatching, no nondeterminism.  ``tests/chaos`` drives it.
 """
 

@@ -6,7 +6,7 @@ disk or a peer or the process itself can fail.  Each component holds a
 :func:`active`, a no-op unless ``REPRO_FAULTS`` is set) and calls:
 
 - ``injector.fire(site)`` at control points (may raise, delay, or kill);
-- ``ShimFile`` for journal/spool writes, which routes every ``write`` and
+- ``ShimFile`` for segment/journal writes, which routes every ``write`` and
   ``fsync`` through the injector so torn writes, short writes and lost
   fsyncs land as real bytes-on-disk states.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
-from repro.core.repository import FileRepository
+from repro.core.segments import SegmentRepository
 
 
 @pytest.fixture()
@@ -26,18 +26,21 @@ def injector():
 
 @pytest.fixture()
 def repo_factory(tmp_path, injector):
-    """(Re)open the same spool directory, optionally with faults armed.
+    """(Re)open the same segment store, optionally with faults armed.
 
-    ``compact_threshold=1`` keeps the journal-compaction kill site
-    reachable from a single put.
+    The smallest segment size lets a few puts reach the seal and
+    compaction paths (whose rename and cleanup run through the
+    write-ahead journal); the hot-entry cache is off so every read
+    goes to disk, where rot and torn tails live.
     """
     repos = []
 
-    def _open(*, faulty: bool = True) -> FileRepository:
-        repo = FileRepository(
-            tmp_path / "spool",
+    def _open(*, faulty: bool = True) -> SegmentRepository:
+        repo = SegmentRepository(
+            tmp_path / "store",
             injector=injector if faulty else faults.NO_FAULTS,
-            compact_threshold=1,
+            segment_max_bytes=4096,
+            cache_entries=0,
         )
         repos.append(repo)
         return repo

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro.cluster.replog import ReplicatedOp
-from repro.core.repository import FileRepository
+from repro.core.segments import SegmentRepository
 from tests.cluster.conftest import make_plain_entry
 
 pytestmark = pytest.mark.usefixtures("key_pool")
@@ -74,7 +74,7 @@ class TestGarbledApply:
         # by tampering the op in flight via a wrapped receive.
         cluster = cluster_factory(
             3,
-            backends=[FileRepository(tmp_path / f"s{i}") for i in range(3)],
+            backends=[SegmentRepository(tmp_path / f"s{i}") for i in range(3)],
         )
         primary = cluster.primary_for("alice")
         replicas = [

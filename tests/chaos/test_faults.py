@@ -13,12 +13,12 @@ from repro.util.errors import TransportError
 class TestFaultPlan:
     def test_parse_env_format(self):
         plan = faults.FaultPlan.parse(
-            "kill@repo.journal.commit.synced,eio@repo.spool.write:2", seed=7
+            "kill@repo.journal.commit.synced,eio@repo.segment.write:2", seed=7
         )
         assert plan.seed == 7
         assert [(r.kind, r.site, r.at) for r in plan.rules] == [
             ("kill", "repo.journal.commit.synced", 1),
-            ("eio", "repo.spool.write", 2),
+            ("eio", "repo.segment.write", 2),
         ]
 
     def test_parse_rejects_bad_specs(self):
@@ -28,10 +28,10 @@ class TestFaultPlan:
             faults.FaultPlan.parse("frobnicate@some.site")  # unknown kind
 
     def test_site_globs_and_hit_windows(self):
-        plan = faults.FaultPlan([faults.FaultRule("eio", "repo.spool.*", at=2)])
-        assert plan.match("repo.spool.write", 1) is None
-        assert plan.match("repo.spool.write", 2) is not None
-        assert plan.match("repo.spool.write", 3) is None  # times=1 window
+        plan = faults.FaultPlan([faults.FaultRule("eio", "repo.segment.*", at=2)])
+        assert plan.match("repo.segment.write", 1) is None
+        assert plan.match("repo.segment.write", 2) is not None
+        assert plan.match("repo.segment.write", 3) is None  # times=1 window
         assert plan.match("repo.journal.write", 2) is None
 
     def test_fire_is_noop_when_disarmed(self, injector):

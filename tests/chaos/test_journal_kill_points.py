@@ -1,11 +1,14 @@
 """Kill the repository at EVERY registered kill point; recovery must hold.
 
-The contract being proven, for a crash at any site on the put/delete path:
+The contract being proven, for a crash at any ``repo.*`` site — the
+segment append/seal sites a put or delete crosses, and the compaction
+and journal sites it crosses whenever the write seals a segment whose
+dead bytes trigger compaction:
 
 - an **acknowledged** write (put or delete that returned) is never lost;
 - an **unacknowledged** write lands old-or-new — the entry is either the
   pre-op state or the post-op state, never torn, never quarantined;
-- reopening the spool (which runs recovery) never raises.
+- reopening the store (which runs recovery) never raises.
 
 A simulated crash drops unsynced file tails (the deterministic page-cache
 loss), so these runs are strictly harsher than a polite process exit.
@@ -22,6 +25,13 @@ from tests.cluster.conftest import make_plain_entry
 PUT_SITES = faults.kill_points("repo.")
 
 
+# Segment-sized old values: the write that replaces (or deletes) one
+# seals the segment holding it, whose dead bytes then trigger compaction,
+# so the op crosses every repo.* site.
+OLD = b"old-ciphertext" * 300
+DOOMED = b"to-be-deleted" * 300
+
+
 def _arm_kill(injector, site):
     injector.arm(faults.FaultPlan([faults.FaultRule("kill", site)], seed=1234))
 
@@ -30,7 +40,7 @@ def _arm_kill(injector, site):
 class TestKillDuringPut:
     def test_old_or_new_never_corrupt(self, repo_factory, injector, site):
         repo = repo_factory()
-        repo.put(make_plain_entry(key_pem=b"old-ciphertext"))
+        repo.put(make_plain_entry(key_pem=OLD))
 
         _arm_kill(injector, site)
         crashed = False
@@ -43,7 +53,7 @@ class TestKillDuringPut:
 
         reopened = repo_factory(faulty=False)
         entry = reopened.get("alice", "default")
-        assert entry.key_pem in (b"old-ciphertext", b"new-ciphertext")
+        assert entry.key_pem in (OLD, b"new-ciphertext")
         if not crashed:
             # The put was acknowledged (site not on this op's path, or the
             # crash hit after the ack point): the new value must be there.
@@ -74,7 +84,7 @@ class TestKillDuringPut:
 class TestKillDuringDelete:
     def test_gone_or_intact_never_zeroed_husk(self, repo_factory, injector, site):
         repo = repo_factory()
-        repo.put(make_plain_entry(key_pem=b"to-be-deleted"))
+        repo.put(make_plain_entry(key_pem=DOOMED))
 
         _arm_kill(injector, site)
         crashed = False
@@ -92,15 +102,18 @@ class TestKillDuringDelete:
         else:
             if "default" in names:
                 # still present: must be the intact pre-delete entry
-                assert reopened.get("alice", "default").key_pem == b"to-be-deleted"
-        # A crash between zeroize and unlink must NOT leave a corrupt husk
-        # in quarantine — the journaled delete finishes at recovery.
+                assert reopened.get("alice", "default").key_pem == DOOMED
+        # A crash mid-delete must NOT leave a corrupt husk in quarantine:
+        # the tombstone is either durable (gone) or a truncated torn tail.
         assert reopened.quarantined() == []
 
 
 class TestRecoveryCounters:
     def test_replayed_put_is_counted(self, repo_factory, injector):
         repo = repo_factory()
+        # Overwriting a segment-sized value seals its segment and compacts
+        # it away; the kill lands before the compaction's journal commit.
+        repo.put(make_plain_entry(key_pem=OLD))
         _arm_kill(injector, "repo.journal.commit.pre")
         with pytest.raises(faults.KillPoint):
             repo.put(make_plain_entry(key_pem=b"replay-me"))

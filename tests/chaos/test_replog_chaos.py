@@ -1,15 +1,16 @@
 """Kill a cluster primary at every replication kill point.
 
-For each registered site on the primary's write path (repository journal,
-spool, replication-log append, ship) the sweep arms a deterministic kill,
-drives a write into a 3-node file-backed cluster, and asserts:
+For each registered site on the primary's write path (segment append,
+seal and compaction with its journal, replication-log append, ship) the
+sweep arms a deterministic kill, drives a write into a 3-node cluster of
+segment stores, and asserts:
 
 - **no acked credential lost** — the baseline (acknowledged) entry is
   retrievable after failover, and an acknowledged second write survives
   on the promoted replica set;
 - **no split-brain** — after the failure detector promotes, exactly one
   live node is primary for the user and the victim is not it;
-- **restart heals** — reopening the victim's spool runs recovery, resync
+- **restart heals** — reopening the victim's store runs recovery, resync
   replays the logs, and the node returns with zero lag and no corruption.
 """
 
@@ -19,7 +20,7 @@ import pytest
 
 from repro import faults
 from repro.core.client import myproxy_init_from_longterm
-from repro.core.repository import FileRepository
+from repro.core.segments import SegmentRepository
 from repro.pki.names import DistinguishedName
 from tests.cluster.conftest import make_plain_entry
 
@@ -27,7 +28,6 @@ from tests.cluster.conftest import make_plain_entry
 # on replicas; they get their own test below.)
 PRIMARY_PUT_SITES = sorted(
     set(faults.kill_points("repo."))
-    - {"repo.delete.zeroized"}  # delete-path only
     | {
         "replog.append.pre",
         "replog.append.synced",
@@ -44,8 +44,8 @@ PASS = "correct horse 42"
 def chaos_cluster(tmp_path, cluster_factory):
     injectors = [faults.FaultInjector() for _ in range(3)]
     backends = [
-        FileRepository(
-            tmp_path / f"spool{i}", injector=injectors[i], compact_threshold=1
+        SegmentRepository(
+            tmp_path / f"store{i}", injector=injectors[i], segment_max_bytes=4096
         )
         for i in range(3)
     ]
@@ -71,7 +71,7 @@ def _fail_over(cluster, clock):
 
 
 def _reopened_backend(cluster, node):
-    return FileRepository(node.backend.root, compact_threshold=1)
+    return SegmentRepository(node.backend.root, segment_max_bytes=4096)
 
 
 @pytest.mark.parametrize("site", PRIMARY_PUT_SITES)
@@ -84,6 +84,10 @@ class TestPrimaryKilledMidPut:
 
         # baseline: an acknowledged credential, replicated semi-sync
         victim.repository.put(make_plain_entry(USER, "baseline", b"ct-base"))
+        # A segment-sized first version of the doomed write: replacing it
+        # seals that segment and compacts it, so the put crosses every
+        # repo.* site.
+        victim.repository.put(make_plain_entry(USER, "second", b"x" * 4096))
 
         victim.injector.arm(
             faults.FaultPlan([faults.FaultRule("kill", site)], seed=2024)

@@ -1,4 +1,9 @@
-"""Disk misbehavior (not crashes): errors, tears, lost fsyncs, bit rot."""
+"""Disk misbehavior (not crashes): errors, tears, lost fsyncs, bit rot.
+
+The active segment is the store's write-ahead journal: a put or delete
+is acknowledged once its record frame is fsynced there, so its write and
+fsync sites are where a failing disk bites.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,19 @@ from repro.util.errors import NotFoundError, RepositoryError
 from tests.cluster.conftest import make_plain_entry
 
 
+def _rot(repo, username="alice", cred_name="default", garbage=None):
+    """Damage the stored record of one entry in place (bit flip, or
+    overwrite with ``garbage`` of the same length)."""
+    segkey, offset, length = repo._index[(username, cred_name)]
+    path = repo._segments[segkey].path
+    raw = bytearray(path.read_bytes())
+    if garbage is None:
+        raw[offset + length // 2] ^= 0xFF
+    else:
+        raw[offset:offset + length] = garbage[:length].ljust(length, b"?")
+    path.write_bytes(bytes(raw))
+
+
 def _arm(injector, kind, site, **kw):
     injector.arm(
         faults.FaultPlan([faults.FaultRule(kind, site, **kw)], seed=99)
@@ -19,7 +37,7 @@ def _arm(injector, kind, site, **kw):
 
 class TestWriteErrors:
     @pytest.mark.parametrize("kind", ["eio", "enospc"])
-    @pytest.mark.parametrize("site", ["repo.journal.write", "repo.spool.write"])
+    @pytest.mark.parametrize("site", ["repo.segment.fsync", "repo.segment.write"])
     def test_failed_put_fails_cleanly_and_keeps_old(
         self, repo_factory, injector, kind, site
     ):
@@ -35,31 +53,76 @@ class TestWriteErrors:
         repo.put(make_plain_entry(key_pem=b"after"))
         assert repo.get("alice", "default").key_pem == b"after"
 
+    @pytest.mark.parametrize("kind", ["eio", "enospc"])
+    def test_failed_compaction_does_not_fail_the_acked_put(
+        self, repo_factory, injector, kind
+    ):
+        repo = repo_factory()
+        # Replacing a segment-sized value seals its segment and compacts.
+        repo.put(make_plain_entry(key_pem=b"old" * 1400))
+        _arm(injector, kind, "repo.journal.write")
+        repo.put(make_plain_entry(key_pem=b"new"))  # durable, so acked
+        injector.disarm()
+        assert repo.get("alice", "default").key_pem == b"new"
+        repo.close()
+        reopened = repo_factory(faulty=False)
+        assert reopened.get("alice", "default").key_pem == b"new"
+        assert reopened.quarantined() == []
+        assert not list(reopened.root.glob("*.tmp"))
+
+    @pytest.mark.parametrize("kind", ["eio", "enospc"])
+    def test_failed_compaction_commit_keeps_the_live_store_usable(
+        self, repo_factory, injector, kind
+    ):
+        repo = repo_factory()
+        repo.put(make_plain_entry("bob", "keep", key_pem=b"kept" * 900))
+        repo.put(make_plain_entry(key_pem=b"old" * 1400))
+        # Hit 1 journals the compaction intent; hit 2 is its commit, after
+        # the output was renamed over the inputs.
+        _arm(injector, kind, "repo.journal.write", at=2)
+        repo.put(make_plain_entry(key_pem=b"new"))  # durable, so acked
+        injector.disarm()
+        assert repo.stats.get("compactions") == 1
+        # The live index already points at the output: every entry reads
+        # back and the store keeps taking writes.
+        assert repo.get("alice", "default").key_pem == b"new"
+        assert repo.get("bob", "keep").key_pem == b"kept" * 900
+        repo.put(make_plain_entry("carol", "next", key_pem=b"next"))
+        assert repo.delete("bob", "keep")
+        repo.close()
+        reopened = repo_factory(faulty=False)
+        assert reopened.get("alice", "default").key_pem == b"new"
+        assert reopened.get("carol", "next").key_pem == b"next"
+        assert reopened.count() == 2
+        assert reopened.quarantined() == []
+
     def test_short_write_to_journal_does_not_shadow_later_records(
         self, repo_factory, injector
     ):
         repo = repo_factory()
-        _arm(injector, "short", "repo.journal.write")
+        _arm(injector, "short", "repo.segment.write")
         with pytest.raises(RepositoryError):
             repo.put(make_plain_entry(key_pem=b"torn-away"))
         injector.disarm()
-        # The partial frame was trimmed, so this put's journal record is
-        # readable by recovery — prove it by crashing before commit.
-        _arm(injector, "kill", "repo.journal.commit.pre")
+        # The partial frame was trimmed, so this put's record is readable
+        # by recovery — prove it by crashing before the index update.
+        _arm(injector, "kill", "repo.segment.append.synced")
         with pytest.raises(faults.KillPoint):
             repo.put(make_plain_entry(key_pem=b"must-replay"))
         injector.disarm()
         repo.close()
         reopened = repo_factory(faulty=False)
         assert reopened.get("alice", "default").key_pem == b"must-replay"
-        assert reopened.stats.get("records_recovered") >= 1
+        # Recovered by the scan, not by cutting or quarantining a tail.
+        assert reopened.stats.get("torn_truncated") == 0
+        assert reopened.stats.get("corruption_detected") == 0
 
 
 class TestTornJournal:
     def test_torn_append_is_truncated_at_recovery(self, repo_factory, injector):
         repo = repo_factory()
         repo.put(make_plain_entry("alice", "safe", key_pem=b"safe"))
-        _arm(injector, "torn", "repo.journal.write")
+        _arm(injector, "torn", "repo.segment.write")
         with pytest.raises(faults.KillPoint):
             repo.put(make_plain_entry("alice", "torn", key_pem=b"torn"))
         injector.disarm()
@@ -86,8 +149,8 @@ class TestLostFsync:
         injector.arm(
             faults.FaultPlan(
                 [
-                    faults.FaultRule("lost_fsync", "repo.journal.fsync"),
-                    faults.FaultRule("kill", "repo.journal.append.synced"),
+                    faults.FaultRule("lost_fsync", "repo.segment.fsync"),
+                    faults.FaultRule("kill", "repo.segment.append.synced"),
                 ],
                 seed=5,
             )
@@ -103,19 +166,10 @@ class TestLostFsync:
 
 
 class TestBitRot:
-    def _corrupt_entry_file(self, repo):
-        [path] = [
-            p for p in repo.root.glob("*.json") if p.name != "journal.wal"
-        ]
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        return path
-
     def test_get_quarantines_and_raises(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        self._corrupt_entry_file(repo)
+        _rot(repo)
         with pytest.raises(RepositoryError, match="quarantined"):
             repo.get("alice", "default")
         assert repo.stats.get("corruption_detected") == 1
@@ -130,10 +184,7 @@ class TestBitRot:
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry("alice", "good", key_pem=b"fine"))
         repo.put(make_plain_entry("alice", "rotten", key_pem=b"doomed"))
-        rotten = repo._path("alice", "rotten")
-        raw = bytearray(rotten.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        rotten.write_bytes(bytes(raw))
+        _rot(repo, "alice", "rotten")
 
         entries = repo.list_for("alice")
         assert [e.cred_name for e in entries] == ["good"]
@@ -143,7 +194,7 @@ class TestBitRot:
     def test_reopen_quarantines_at_recovery(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        self._corrupt_entry_file(repo)
+        _rot(repo)
         repo.close()
         reopened = repo_factory(faulty=False)
         assert reopened.stats.get("quarantined") == 1
@@ -153,7 +204,7 @@ class TestBitRot:
     def test_scrub_reports_and_clear_quarantine_forgets(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        self._corrupt_entry_file(repo)
+        _rot(repo)
         summary = repo.scrub()
         assert summary["quarantined_now"] == 1
         assert summary["quarantined_total"] == 1
@@ -168,8 +219,7 @@ class TestMetricsPublication:
     def test_counters_transfer_and_mirror(self, repo_factory):
         repo = repo_factory(faulty=False)
         repo.put(make_plain_entry())
-        [path] = [p for p in repo.root.glob("*.json")]
-        path.write_bytes(b"bit rot ate this file")
+        _rot(repo, garbage=b"bit rot ate this record")
         with pytest.raises(RepositoryError):
             repo.get("alice", "default")
 

@@ -188,3 +188,61 @@ class TestReplicatingRepository:
         repo = ReplicatingRepository(backend, ReplicationLog("node0", SECRET))
         repo.put(make_plain_entry())
         assert backend.count() == 1
+
+
+class TestShipOrder:
+    """Two writers on one origin: ops must leave in sequence order.
+
+    A replica skips any sequence number at or below its apply watermark,
+    so if seq n+1 overtook seq n in flight, seq n would be dropped as
+    already seen — its client refused, the primary alone holding the
+    write even after resync.  The shipper below holds seq 1 in flight
+    until seq 2 has shipped (or a grace period shows it cannot).
+    """
+
+    def test_concurrent_writers_on_one_origin_ship_in_order(self, cluster_factory):
+        import threading
+
+        cluster = cluster_factory(3)
+        # Two users with the same primary and the same replica.
+        replica_set = cluster.preference("alice")
+        origin = replica_set[0]
+        users = [u for u in (f"user{i}" for i in range(200))
+                 if cluster.preference(u) == replica_set][:2]
+        real_ship = origin.repository.shipper
+        first_in_flight = threading.Event()
+        second_shipped = threading.Event()
+
+        def shipper(op):
+            if op.seq == 1:
+                first_in_flight.set()
+                second_shipped.wait(timeout=1.0)
+            real_ship(op)
+            if op.seq == 2:
+                second_shipped.set()
+
+        origin.repository.shipper = shipper
+        errors = []
+
+        def write(username):
+            try:
+                origin.repository.put(make_plain_entry(username, "default"))
+            except RepositoryError as exc:
+                errors.append(exc)
+
+        first = threading.Thread(target=write, args=(users[0],))
+        first.start()
+        assert first_in_flight.wait(timeout=5.0)
+        second = threading.Thread(target=write, args=(users[1],))
+        second.start()
+        first.join(timeout=10.0)
+        second.join(timeout=10.0)
+
+        assert errors == []  # no write refused
+        cluster.auto_resync()
+        for username in users:
+            holders = [
+                node.name for node in cluster.preference(username)
+                if node.backend.count() and username in node.backend.usernames()
+            ]
+            assert holders == [n.name for n in cluster.preference(username)]

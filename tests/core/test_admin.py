@@ -105,9 +105,9 @@ class TestMaintenanceAgent:
 
 class TestAdminCli:
     @pytest.fixture()
-    def spool(self, tmp_path, key_pool):
-        """A file-backed testbed so the CLI can inspect the spool."""
-        from repro.core.repository import FileRepository
+    def store(self, tmp_path, key_pool):
+        """A store-backed testbed so the CLI can inspect the store."""
+        from repro.core.segments import SegmentRepository
         from repro.core.server import MyProxyServer
         from repro.pki.ca import CertificateAuthority
         from repro.pki.names import DistinguishedName
@@ -118,10 +118,11 @@ class TestAdminCli:
             DistinguishedName.parse("/O=Grid/CN=Admin CA"), key=key_pool.new_key()
         )
         validator = ChainValidator([ca.certificate])
+        repository = SegmentRepository(tmp_path / "store")
         server = MyProxyServer(
             ca.issue_host_credential("mp.example.org", key=key_pool.new_key()),
             validator,
-            repository=FileRepository(tmp_path / "spool"),
+            repository=repository,
             key_source=key_pool,
         )
         endpoint = server.start()
@@ -134,27 +135,28 @@ class TestAdminCli:
             client, alice, username="alice", passphrase=PASS, key_source=key_pool
         )
         server.stop()
-        return tmp_path / "spool"
+        repository.close()
+        return tmp_path / "store"
 
-    def test_query_and_stats(self, spool, capsys):
+    def test_query_and_stats(self, store, capsys):
         from repro.cli.myproxy_admin import main
 
-        assert main(["--storage-dir", str(spool), "query"]) == 0
+        assert main(["--storage-dir", str(store), "query"]) == 0
         out = capsys.readouterr().out
         assert "alice/default" in out and "proxy" in out
-        assert main(["--storage-dir", str(spool), "stats"]) == 0
+        assert main(["--storage-dir", str(store), "stats"]) == 0
         assert "entries: 1" in capsys.readouterr().out
 
-    def test_remove_user_cli(self, spool, capsys):
+    def test_remove_user_cli(self, store, capsys):
         from repro.cli.myproxy_admin import main
 
-        assert main(["--storage-dir", str(spool), "remove-user", "-l", "alice"]) == 0
+        assert main(["--storage-dir", str(store), "remove-user", "-l", "alice"]) == 0
         assert "removed 1" in capsys.readouterr().out
-        assert main(["--storage-dir", str(spool), "query"]) == 0
+        assert main(["--storage-dir", str(store), "query"]) == 0
         assert "no matching credentials" in capsys.readouterr().out
 
-    def test_purge_cli_with_nothing_expired(self, spool, capsys):
+    def test_purge_cli_with_nothing_expired(self, store, capsys):
         from repro.cli.myproxy_admin import main
 
-        assert main(["--storage-dir", str(spool), "purge"]) == 0
+        assert main(["--storage-dir", str(store), "purge"]) == 0
         assert "purged 0" in capsys.readouterr().out

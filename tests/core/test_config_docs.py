@@ -48,7 +48,6 @@ def test_documented_defaults_parse():
     sample = "\n".join(
         line for line in (
             'accepted_credentials "/O=Grid/OU=People/CN=*"',
-            "storage_backend segments",
             "storage_segment_max_bytes 33554432",
             "storage_compact_ratio 0.5",
             "storage_cache_entries 1024",
@@ -56,5 +55,4 @@ def test_documented_defaults_parse():
         )
     )
     config = parse_config(sample)
-    assert config.storage.backend == "segments"
     assert config.storage.segment_max_bytes == 32 * 1024 * 1024

@@ -1,15 +1,21 @@
-"""Repository storage: verifiers, sealing, both backends."""
+"""Repository storage: verifiers, sealing, both backends.
+
+``file`` is the durable on-disk backend, the segment store; ``memory``
+is the in-process reference it must agree with.
+"""
+
+import base64
 
 import pytest
 
 from repro.core.repository import (
-    FileRepository,
     MemoryRepository,
     RepositoryEntry,
     SecretBox,
     check_passphrase,
     make_passphrase_verifier,
 )
+from repro.core.segments import SegmentRepository
 from repro.util.errors import AuthenticationError, NotFoundError, RepositoryError
 
 
@@ -76,15 +82,14 @@ class TestSecretBox:
             SecretBox(b"short")
 
 
-@pytest.fixture(params=["memory", "file", "sqlite"])
+@pytest.fixture(params=["memory", "file"])
 def repo(request, tmp_path):
     if request.param == "memory":
-        return MemoryRepository()
-    if request.param == "sqlite":
-        from repro.core.sqlrepository import SqliteRepository
-
-        return SqliteRepository(tmp_path / "spool.db")
-    return FileRepository(tmp_path / "spool")
+        yield MemoryRepository()
+        return
+    store = SegmentRepository(tmp_path / "store")
+    yield store
+    store.close()
 
 
 class TestBackends:
@@ -133,53 +138,81 @@ class TestBackends:
         assert repo.get("alice", "default") == original
 
     def test_hostile_usernames_safe(self, repo):
-        """Path-traversal-shaped names must not escape the spool."""
+        """Path-traversal-shaped names must not escape the store."""
         weird = entry(username="../../etc/passwd", cred_name="x/../y")
         repo.put(weird)
         assert repo.get("../../etc/passwd", "x/../y") == weird
 
 
+class TestKeyAliasing:
+    def test_nul_in_username_cannot_alias_another_users_entry(self, tmp_path):
+        root = tmp_path / "store"
+        repo = SegmentRepository(root)
+        repo.put(entry(username="alice", cred_name="x\x00y", key_pem=b"alice's"))
+        # Same key token as alice's entry if NUL were allowed in user names.
+        with pytest.raises(RepositoryError, match="NUL"):
+            repo.put(entry(username="alice\x00x", cred_name="y", key_pem=b"forged"))
+        repo.close()
+        reopened = SegmentRepository(root)
+        assert reopened.get("alice", "x\x00y").key_pem == b"alice's"
+        assert reopened.usernames() == ["alice"]
+        reopened.close()
+
+
 class TestFileBackend:
     def test_survives_reopen(self, tmp_path):
-        spool = tmp_path / "spool"
-        FileRepository(spool).put(entry())
-        reopened = FileRepository(spool)
+        root = tmp_path / "store"
+        first = SegmentRepository(root)
+        first.put(entry())
+        first.close()
+        reopened = SegmentRepository(root)
         assert reopened.get("alice", "default").username == "alice"
+        reopened.close()
 
     def test_file_modes(self, tmp_path):
-        spool = tmp_path / "spool"
-        repo = FileRepository(spool)
+        root = tmp_path / "store"
+        repo = SegmentRepository(root)
         repo.put(entry())
-        assert (spool.stat().st_mode & 0o777) == 0o700
-        (entry_file,) = spool.glob("*.json")
-        assert (entry_file.stat().st_mode & 0o777) == 0o600
+        assert (root.stat().st_mode & 0o777) == 0o700
+        (segment,) = root.glob("seg-*.mps")
+        assert (segment.stat().st_mode & 0o777) == 0o600
+        repo.close()
 
     def test_delete_zeroizes(self, tmp_path):
-        spool = tmp_path / "spool"
-        repo = FileRepository(spool)
-        repo.put(entry())
+        root = tmp_path / "store"
+        repo = SegmentRepository(root)
+        repo.put(entry(key_pem=b"sealed-bytes-to-destroy"))
         repo.delete("alice", "default")
-        assert list(spool.glob("*.json")) == []
+        repo.compact()
+        stored = b"".join(p.read_bytes() for p in root.rglob("*") if p.is_file())
+        assert base64.b64encode(b"sealed-bytes-to-destroy") not in stored
+        repo.close()
 
     def test_corrupt_entry_reported(self, tmp_path):
-        spool = tmp_path / "spool"
-        repo = FileRepository(spool)
+        root = tmp_path / "store"
+        repo = SegmentRepository(root, cache_entries=0)
         repo.put(entry())
-        (entry_file,) = spool.glob("*.json")
-        entry_file.write_text("{broken json")
+        (segment,) = root.glob("seg-*.mps")
+        data = segment.read_bytes()
+        record = data.index(b"%MPF1", data.index(b"\n"))
+        segment.write_bytes(data[:record] + b"{broken json" + data[record + 12:])
         with pytest.raises(RepositoryError):
             repo.get("alice", "default")
+        repo.close()
 
     def test_orphan_tempfile_cleaned_on_open(self, tmp_path):
-        """Crash recovery: a put that died between temp-file write and the
-        atomic rename leaves a ``*.json.tmp`` orphan (possibly holding a
-        partial key copy) that the next open must remove."""
-        spool = tmp_path / "spool"
-        FileRepository(spool).put(entry())
-        orphan = spool / "interrupted.json.tmp"
-        orphan.write_text('{"half": "written')
-        reopened = FileRepository(spool)
+        """Crash recovery: a compaction that died before journaling its
+        output leaves a ``seg-*.mps.tmp`` orphan (a partial copy of live
+        records, encrypted keys included) that the next open must remove."""
+        root = tmp_path / "store"
+        first = SegmentRepository(root)
+        first.put(entry())
+        first.close()
+        orphan = root / "seg-00000001.c1.mps.tmp"
+        orphan.write_bytes(b"%MPS1 v1 id=1 gen=1 covers=0-1\nhalf-written")
+        reopened = SegmentRepository(root)
         assert not orphan.exists()
         # committed entries are untouched and temp junk never shows up in reads
         assert reopened.get("alice", "default").username == "alice"
         assert reopened.count() == 1
+        reopened.close()

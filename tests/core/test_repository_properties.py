@@ -3,9 +3,12 @@ field contents (user names are attacker-controlled strings)."""
 
 import string
 
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.repository import FileRepository, RepositoryEntry
+from repro.core.repository import RepositoryEntry
+from repro.core.segments import SegmentRepository
+from repro.util.errors import RepositoryError
 
 _text = st.text(max_size=40)
 _name = st.text(min_size=1, max_size=30).filter(lambda s: s.strip())
@@ -42,11 +45,32 @@ def test_json_roundtrip(entry):
 
 @given(entries)
 def test_file_backend_roundtrip_any_username(tmp_path_factory, entry):
-    """Hostile usernames/cred names never escape or corrupt the spool."""
-    repo = FileRepository(tmp_path_factory.mktemp("spool"))
-    repo.put(entry)
-    assert repo.get(entry.username, entry.cred_name) == entry
-    assert repo.count() == 1
-    # Every stored file stays inside the spool root.
-    for path in repo.root.rglob("*"):
-        assert repo.root in path.parents or path == repo.root
+    """Hostile usernames/cred names never escape or corrupt the store."""
+    root = tmp_path_factory.mktemp("store")
+    # No hot-entry cache: every read decodes the record from disk.
+    repo = SegmentRepository(root, cache_entries=0)
+    if "\x00" in entry.username:
+        # NUL separates user from credential name in the record key; such
+        # a name would alias another user's entry, so it is refused.
+        try:
+            with pytest.raises(RepositoryError):
+                repo.put(entry)
+            assert repo.count() == 0
+        finally:
+            repo.close()
+        return
+    try:
+        repo.put(entry)
+        assert repo.get(entry.username, entry.cred_name) == entry
+        assert repo.count() == 1
+    finally:
+        repo.close()
+    reopened = SegmentRepository(root, cache_entries=0)
+    try:
+        assert reopened.get(entry.username, entry.cred_name) == entry
+        assert reopened.usernames() == [entry.username]
+    finally:
+        reopened.close()
+    # Every stored file stays inside the store root.
+    for path in root.rglob("*"):
+        assert root in path.parents

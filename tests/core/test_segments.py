@@ -147,8 +147,22 @@ class TestCompaction:
 
     def test_compaction_noop_with_single_active_segment(self, repo_factory):
         repo = repo_factory(segment_max_bytes=1 << 20)
-        repo.put(make_plain_entry())
-        assert repo.compact() == 0
+        names = [s["name"] for s in repo.segment_info()]
+        assert repo.compact() == 0  # an empty active segment is not sealed
+        assert [s["name"] for s in repo.segment_info()] == names
+
+    def test_compact_seals_a_non_empty_active_segment(self, repo_factory):
+        repo = repo_factory(segment_max_bytes=1 << 20)
+        repo.put(make_plain_entry("alice", "keep", key_pem=b"kept"))
+        repo.put(make_plain_entry("alice", "gone"))
+        repo.delete("alice", "gone")
+        assert repo.compact() > 0
+        assert repo.stats.get("compactions") == 1
+        assert all(s["dead_bytes"] == 0 for s in repo.segment_info())
+        repo.close()
+        reopened = repo_factory()
+        assert reopened.get("alice", "keep").key_pem == b"kept"
+        assert reopened.count() == 1
 
 
 class TestCache:
@@ -436,10 +450,19 @@ class TestDetection:
         (root / "dG9rZW4=.json").write_bytes(b"{}")
         assert detect_backend(root) == "spool"
 
-    def test_empty_directory_is_spool(self, tmp_path):
+    def test_empty_directory_is_segments(self, tmp_path):
         root = tmp_path / "store"
         root.mkdir()
+        assert detect_backend(root) == "segments"
+        assert detect_backend(tmp_path / "missing") == "segments"
+
+    def test_legacy_paths_detected(self, tmp_path):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "journal.wal").write_bytes(b"")
         assert detect_backend(root) == "spool"
+        assert detect_backend(tmp_path / "creds.db") == "sqlite"
+        assert detect_backend(tmp_path / "creds.sqlite") == "sqlite"
 
 
 class TestMetrics:

@@ -1,10 +1,10 @@
-"""SIGKILL a real ``myproxy-server`` process at each journal kill point.
+"""SIGKILL a real ``myproxy-server`` process at each store kill point.
 
 This is the out-of-process version of the chaos suite: the server runs as
 an actual subprocess over TCP, ``REPRO_FAULTS=kill@<site>:2`` arms a hard
 kill (``SIGKILL``, no cleanup, no atexit) that fires during the second
 ``myproxy-init`` store, and a fresh server process is then started on the
-same spool.  The restarted server must:
+same segment store.  The restarted server must:
 
 - recover without quarantining anything (the crash was clean-by-design:
   old-or-new, never torn);
@@ -34,23 +34,19 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 KEYPASS = "keyfile phrase 3"
 MYPASS = "repository phrase 7"
 
-# Every site a single put crosses, in order.  (compact.pre needs the
-# threshold and delete.zeroized needs a delete; they are covered by the
-# in-process sweep in tests/chaos/.)
+# Every site a single put into a fresh store crosses, in order.  (Seal
+# and compaction sites need a full segment; the in-process sweep in
+# tests/chaos/ covers them.)
 JOURNAL_KILL_SITES = [
-    "repo.journal.append.pre",
-    "repo.journal.append.synced",
-    "repo.journal.commit.pre",
-    "repo.journal.commit.synced",
-    "repo.spool.pre_rename",
-    "repo.spool.renamed",
+    "repo.segment.append.pre",
+    "repo.segment.append.synced",
 ]
 
-# The journal is a redo log: once the op frame is fsynced (every site
-# after append.pre), recovery replays the store, so the interrupted
+# The active segment is the write-ahead log: once the record frame is
+# fsynced (append.synced), recovery's scan finds it, so the interrupted
 # credential comes back "new".  Only a crash before the frame lands
 # leaves it "old" (absent).
-PRE_DURABLE_SITES = {"repo.journal.append.pre"}
+PRE_DURABLE_SITES = {"repo.segment.append.pre"}
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +150,7 @@ def _get(world, endpoint, cred_name, out_path):
 @pytest.mark.parametrize("site", JOURNAL_KILL_SITES)
 class TestServerSigkilledMidStore:
     def test_restart_recovers_and_serves(self, world, tmp_path, site):
-        storage = tmp_path / "spool"
+        storage = tmp_path / "store"
 
         # hit 1 = the baseline store (acked), hit 2 = the doomed one
         proc, endpoint, _ = _spawn_server(world, storage, f"kill@{site}:2")
@@ -169,8 +165,8 @@ class TestServerSigkilledMidStore:
         proc, endpoint, banner = _spawn_server(world, storage)
         try:
             # recovery ran and quarantined nothing: the crash left the
-            # spool old-or-new, never torn
-            assert "spool recovery:" in banner
+            # store old-or-new, never torn
+            assert "segment recovery (" in banner
             assert "0 entr(ies) quarantined" in banner
 
             # the acked credential survived the SIGKILL

@@ -6,9 +6,13 @@ the repository host is compromised, an intruder would still need to decrypt
 the keys individually or wait until a portal connects."
 """
 
+import base64
+
 import pytest
 
 from repro.attacks.compromise import loot_repository
+from repro.cli import myproxy_admin
+from repro.core.segments import SegmentRepository
 from repro.core.protocol import AuthMethod
 from repro.core.otp import OTPGenerator
 from repro.pki.proxy import create_proxy
@@ -86,3 +90,40 @@ class TestEncryptedAtRest:
         loot = loot_repository(tb.myproxy.repository)
         assert loot.server_sealed_entries == 1
         assert loot.private_keys_recovered == 0
+
+
+class TestDestroyedKeyRetention:
+    """DESIGN §5: a destroyed credential's (still pass-phrase-encrypted)
+    key stays on disk only until compaction zeroizes its segment."""
+
+    def test_no_key_byte_survives_destroy_and_compaction(self, raided, tmp_path):
+        from tests.cluster.conftest import make_plain_entry
+
+        entry = raided.myproxy.repository.get("alice", "default")
+        assert b"ENCRYPTED" in entry.key_pem
+        root = tmp_path / "store"
+        store = SegmentRepository(root)
+        store.put(entry)
+        store.put(make_plain_entry("bob", "kept", key_pem=b"bob-ciphertext"))
+        store.delete("alice", "default")
+
+        def on_disk() -> bytes:
+            return b"".join(p.read_bytes() for p in root.rglob("*") if p.is_file())
+
+        encoded = base64.b64encode(entry.key_pem)
+        # The retention window: the dead record is still on disk, encrypted.
+        assert encoded in on_disk()
+        store.close()
+
+        assert myproxy_admin.main(["--storage-dir", str(root), "compact"]) == 0
+        blob = on_disk()
+        assert entry.key_pem not in blob
+        assert not any(
+            encoded[i:i + 48] in blob for i in range(0, len(encoded) - 48, 16)
+        )
+        reopened = SegmentRepository(root)
+        try:
+            assert reopened.get("bob", "kept").key_pem == b"bob-ciphertext"
+            assert reopened.count() == 1
+        finally:
+            reopened.close()
